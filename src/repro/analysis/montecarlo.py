@@ -360,7 +360,7 @@ def run_monte_carlo(
     on any exit, including exceptions); ``resume=True`` restores those
     points and continues.  A snapshot whose metadata disagrees with the
     current parameters raises
-    :class:`~repro.resilience.errors.CheckpointMismatchError`.
+    :class:`~repro.errors.CheckpointMismatchError`.
     ``random_mixes`` draws mixes sequentially from the seed, so mix *i* is
     identical across runs and a killed-and-resumed sweep reproduces the
     uninterrupted one bit-for-bit — resuming into a larger ``num_mixes``

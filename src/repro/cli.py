@@ -150,6 +150,7 @@ from repro.sim import (
     SIM_BACKENDS,
     RunSettings,
     compare_schemes,
+    engine_in_use,
     run_mix,
 )
 from repro.telemetry import (
@@ -275,6 +276,9 @@ def _store_run(args: argparse.Namespace, **archive_kwargs) -> None:
     """Archive one finished run when ``--store`` was given."""
     if not getattr(args, "store", None):
         return
+    backend = getattr(args, "sim_backend", None)
+    if backend is not None:
+        archive_kwargs["engine"] = engine_in_use(backend)
     record = RunStore(args.store).archive(**archive_kwargs)
     print(f"stored run: {record.run_id} ({record.path})")
 
@@ -1113,8 +1117,9 @@ def build_parser() -> argparse.ArgumentParser:
             default="reference",
             choices=SIM_BACKENDS,
             help="execution engine: 'reference' (checked object-model event "
-                 "loop) or 'batched' (struct-of-arrays engine, bit-identical "
-                 "and several times faster)",
+                 "loop) or 'batched' (compiled C kernel over a struct-of-"
+                 "arrays image, bit-identical and several times faster; "
+                 "runs the reference loop when gcc is unavailable)",
         )
         _add_fault_args(p)
         _add_sanitize_arg(p)

@@ -3,8 +3,6 @@
 This module is a dependency *leaf* (it imports nothing from the
 package), so every layer — ``repro.config`` at the bottom, the lint
 engine at the top — can raise taxonomy errors without import cycles.
-It moved here from ``repro.resilience.errors``, which remains as a
-compatibility re-export.
 
 Every failure the resilience machinery can detect — and therefore contain —
 is a :class:`ReproError`, so callers (the epoch controller, the sweep

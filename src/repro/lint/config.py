@@ -53,7 +53,7 @@ DEFAULT_EXCLUDE = ("__pycache__", ".git", "_bootstrap", "build", "dist")
 class LintConfigError(ReproError, ValueError):
     """``[tool.repro-lint]`` contains an out-of-domain value.
 
-    Inherits :class:`~repro.resilience.errors.ReproError` so the CLI
+    Inherits :class:`~repro.errors.ReproError` so the CLI
     boundary turns a bad config into a clean exit-2 instead of a traceback
     (the same contract ERR001 enforces on everything else), and
     ``ValueError`` so pre-taxonomy callers keep working.

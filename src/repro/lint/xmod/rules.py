@@ -24,7 +24,7 @@ spans modules:
   runtime validation only catches when the emitting path runs.
 * **ERR001 — CLI-reachable raises use the taxonomy.**  Every ``raise``
   reachable from a CLI command handler must resolve to the
-  :class:`~repro.resilience.errors.ReproError` taxonomy (or an exit/OS
+  :class:`~repro.errors.ReproError` taxonomy (or an exit/OS
   family the CLI already handles), so users get clean error exits instead
   of tracebacks.
 

@@ -182,6 +182,7 @@ class RunStore:
         supervisor: Mapping[str, object] | None = None,
         trace_events: Sequence[Mapping] | None = None,
         trace_file: str | Path | None = None,
+        engine: str | None = None,
     ) -> RunRecord:
         """Archive one run and return its record.
 
@@ -191,7 +192,10 @@ class RunStore:
         ``supervisor`` attaches a fabric supervision summary (retry /
         timeout / quarantine / degrade counts, final ladder rung,
         dead-letter entries) so ``repro runs show`` explains how a run
-        survived, not just what it computed.
+        survived, not just what it computed.  ``engine`` records which
+        detailed-simulation engine actually ran (see
+        :func:`repro.sim.system.engine_in_use`); it is provenance only and
+        stays out of the telemetry stream.
         """
         fingerprint = config_fingerprint(config)
         created = time.time()
@@ -246,6 +250,7 @@ class RunStore:
             "headline": dict(headline) if headline is not None else {},
             "metrics": dict(metrics) if metrics is not None else None,
             "supervisor": dict(supervisor) if supervisor is not None else None,
+            "engine": engine,
             "trace": trace_name,
             "trace_events": trace_count,
             "timeseries": series_name,

@@ -5,8 +5,8 @@ every epoch decision and runs sweeps long enough that crashes are a
 when-not-if.  This package makes the reproduction *test* that trust
 (:mod:`~repro.resilience.faults`), *contain* its violations
 (:mod:`~repro.resilience.guard`) and *survive* interruptions
-(:mod:`~repro.resilience.checkpoint`), under a structured error taxonomy
-(:mod:`~repro.resilience.errors`).
+(:mod:`~repro.resilience.checkpoint`), under the package's structured
+error taxonomy (:mod:`~repro.errors`).
 """
 
 from repro.resilience.checkpoint import (

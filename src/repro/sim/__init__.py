@@ -15,6 +15,7 @@ from repro.sim.system import (
     DETAILED_SCHEMES,
     SIM_BACKENDS,
     CMPSystem,
+    engine_in_use,
 )
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "SystemResult",
     "build_system",
     "compare_schemes",
+    "engine_in_use",
     "run_mix",
     "run_sweep",
 ]

@@ -72,7 +72,7 @@ class RunSettings:
     fault_plan: FaultPlan | None = None
     #: deep runtime invariant checking (expensive; see
     #: :mod:`repro.resilience.sanitizer`).  Violations raise
-    #: :class:`~repro.resilience.errors.SanitizerViolation` and are never
+    #: :class:`~repro.errors.SanitizerViolation` and are never
     #: contained by the guard.
     sanitize: bool = False
     #: collect telemetry events/metrics during the run (see
@@ -287,7 +287,7 @@ def run_sweep(
     reproduces the uninterrupted sweep exactly, because every mix's
     simulation is fully determined by (mix, config, settings).  A snapshot
     from different parameters raises
-    :class:`~repro.resilience.errors.CheckpointMismatchError`.
+    :class:`~repro.errors.CheckpointMismatchError`.
 
     ``jobs`` fans the independent (mix, scheme) simulations out over worker
     processes; results merge in submission order, so both the returned

@@ -57,8 +57,20 @@ DETAILED_SCHEMES = ("no-partitions", "equal-partitions", "bank-aware")
 ALL_SIM_SCHEMES = registered_policies()
 
 #: execution backends: 'reference' is the object-model discrete-event loop,
-#: 'batched' the struct-of-arrays engine (bit-identical, see repro.sim.batched).
+#: 'batched' the compiled struct-of-arrays engine (bit-identical, see
+#: repro.sim.batched), which runs the reference loop where the kernel
+#: cannot be built.
 SIM_BACKENDS = ("reference", "batched")
+
+
+def engine_in_use(backend: str) -> str:
+    """The engine a run on ``backend`` executes on this host: ``reference``,
+    ``kernel``, or ``reference-fallback`` (batched without a kernel)."""
+    if backend != "batched":
+        return "reference"
+    from repro.sim import kernel
+
+    return "kernel" if kernel.load() is not None else "reference-fallback"
 
 
 class CMPSystem:
@@ -264,11 +276,15 @@ class CMPSystem:
 
     def _run_engine(self) -> None:
         if self.backend == "batched":
-            from repro.sim.batched import run_batched
+            from repro.sim import kernel
 
-            run_batched(self)
-        else:
-            self._run_reference()
+            lib = kernel.load()
+            if lib is not None:
+                from repro.sim.batched import run_batched
+
+                run_batched(self, lib)
+                return
+        self._run_reference()
 
     def _run_reference(self) -> None:
         """The checked object-model event loop (one heap event per access)."""

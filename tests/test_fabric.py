@@ -26,7 +26,7 @@ from repro.fabric import (
 from repro.fabric.backends import read_shard_result
 from repro.fabric.chaos import InjectedWorkerCrash
 from repro.resilience.checkpoint import backup_path, load_checkpoint
-from repro.resilience.errors import ConfigError, PoisonItemError
+from repro.errors import ConfigError, PoisonItemError
 from repro.telemetry.events import canonical_events
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import Tracer

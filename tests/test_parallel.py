@@ -25,7 +25,7 @@ from repro.parallel.bench import run_bench_suite
 from repro.parallel.executor import ParallelExecutor, resolve_jobs
 from repro.parallel.profile_cache import ProfileCache, default_cache_dir
 from repro.resilience.checkpoint import load_checkpoint
-from repro.resilience.errors import (
+from repro.errors import (
     CheckpointCorrupt,
     CheckpointMismatchError,
     ConfigError,

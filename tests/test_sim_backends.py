@@ -122,12 +122,70 @@ class TestWindowBoundaries:
         assert results[0].to_dict() == results[1].to_dict()
 
 
+class TestDirectoryOrder:
+    """The sanitizer iterates ``l2._where``; the kernel's check-in must
+    rebuild it in the reference's insertion order, not just with equal
+    content."""
+
+    @pytest.mark.parametrize("scheme,placement,shared_placement", [
+        ("no-partitions", "dnuca", "dnuca"),
+        ("no-partitions", "dnuca", "parallel"),
+        ("bank-aware", "dnuca", "dnuca"),
+        ("bank-aware", "parallel", "dnuca"),
+    ])
+    def test_where_order_identical(self, scheme, placement, shared_placement):
+        wheres = []
+        for backend in SIM_BACKENDS:
+            system = build_system(
+                MIX, scheme, CFG,
+                RunSettings(
+                    duration_cycles=150_000.0, seed=8, sanitize=True,
+                    placement=placement, shared_placement=shared_placement,
+                    sim_backend=backend,
+                ),
+            )
+            system.run()
+            wheres.append(list(system.l2._where.items()))
+        assert wheres[0] == wheres[1]
+        assert wheres[0]
+
+
+class TestWarmCheckout:
+    """A second ``run`` starts from a warm cache: the engine must check a
+    non-empty image (and ``l2._where``'s order) out of the objects."""
+
+    @pytest.mark.parametrize("scheme,shared_placement", [
+        ("no-partitions", "dnuca"),
+        ("no-partitions", "hash"),
+        ("bank-aware", "dnuca"),
+    ])
+    def test_resumed_run_identical(self, scheme, shared_placement):
+        results = []
+        for backend in SIM_BACKENDS:
+            system = build_system(
+                MIX, scheme, CFG,
+                RunSettings(
+                    duration_cycles=200_000.0, seed=12, sim_backend=backend,
+                    shared_placement=shared_placement, trace=True,
+                ),
+            )
+            system.set_measurement_window(30_000.0, 70_000.0)
+            system.run()
+            system.max_cycles = 160_000.0
+            result = system.run()
+            results.append((result, list(system.l2._where.items())))
+        (ref, ref_where), (batched, batched_where) = results
+        assert_identical(ref, batched)
+        assert ref_where == batched_where
+
+
 class TestChaosSweep:
     def test_randomized_traces_identical(self):
         """Seed-randomized sweep: random mixes, schemes, seeds and
         windows must stay bit-identical pair by pair."""
         rng = random.Random(20090814)
-        schemes = ("no-partitions", "equal-partitions", "bank-aware")
+        schemes = ("no-partitions", "equal-partitions", "bank-aware",
+                   "bank-bw", "joint")
         for _ in range(6):
             mix = rng.choice(TABLE_III_SETS)
             scheme = rng.choice(schemes)
