@@ -18,11 +18,9 @@ from __future__ import annotations
 
 __all__ = [
     "CheckpointCorrupt",
-    "CheckpointCorruptError",
     "CheckpointMismatchError",
     "ConfigError",
     "PartitionInvariantError",
-    "PoisonItemError",
     "ProfilerFault",
     "ReproError",
     "SanitizerViolation",
@@ -62,32 +60,15 @@ class PartitionInvariantError(ReproError, ValueError):
 
 
 class WorkerCrashError(ReproError):
-    """A sweep worker raised while evaluating one work item.
+    """A sweep work item failed every attempt the supervisor allowed it.
 
-    Wraps the worker's exception (available as ``__cause__``) with the
-    submission ``index`` and trace ``label`` of the item that failed, so a
+    Raised by :class:`~repro.fabric.supervisor.Supervisor` once an item has
+    exhausted its retry budget (or its deadline on every attempt) and been
+    quarantined; the worker's last exception, when there is one, is
+    chained as ``__cause__``.  ``index`` and ``label`` name the item, so a
     thousand-item sweep aborts with *which* item died instead of a raw
-    traceback from an anonymous pool process.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        index: int | None = None,
-        label: str | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.index = index
-        self.label = label
-
-
-class PoisonItemError(ReproError):
-    """A work item kept failing after every permitted retry.
-
-    Raised by the fabric supervisor once an item has exhausted its retry
-    budget and been quarantined into the dead-letter ledger; ``attempts``
-    counts how many times it was tried.
+    traceback from an anonymous pool process; ``attempts`` counts how many
+    times it was started.
     """
 
     def __init__(
@@ -122,12 +103,6 @@ class CheckpointMismatchError(CheckpointCorrupt):
     def __init__(self, message: str, *, mismatched: tuple[str, ...] = ()) -> None:
         super().__init__(message)
         self.mismatched = mismatched
-
-
-#: modern alias — new code should catch :class:`CheckpointCorruptError`;
-#: the short name predates the ``*Error`` convention and stays for
-#: backwards compatibility.
-CheckpointCorruptError = CheckpointCorrupt
 
 
 class SimulationInvariantError(ReproError):

@@ -1,9 +1,12 @@
 """Supervised execution of pure work items: retry, timeout, degrade.
 
-The :class:`Supervisor` is the fault boundary of the sweep fabric.  It
-drives the same order-preserving, bounded-window submission discipline as
-:class:`~repro.parallel.executor.ParallelExecutor`, but wraps every work
-item in a supervision contract:
+The :class:`Supervisor` is the one fan-out executor of the package: the
+Monte Carlo runner, the detailed scheme comparison and the detailed
+sweep all drive it.  ``jobs=1`` is its serial rung, which runs every
+item in the caller's process, in order, with no pickling; ``jobs > 1``
+starts on a process pool with a bounded submission window
+(``WINDOW_PER_JOB`` items per worker).  Every work item runs under a
+supervision contract:
 
 * **bounded retries** — an item whose worker raises is retried up to
   ``max_attempts`` starts, with *seeded deterministic backoff*: the delay
@@ -21,11 +24,15 @@ item in a supervision contract:
   killing the parent can interrupt it;
 * **poison quarantine** — an item that exhausts its retry budget is
   recorded in the :class:`~repro.fabric.deadletter.DeadLetterLedger` and
-  either aborts the sweep (``on_poison="raise"``, the default: a
-  checkpointed sweep must stay a contiguous prefix) or yields the
-  :data:`QUARANTINED` sentinel in its slot (``on_poison="skip"``).
+  either aborts the sweep with :class:`~repro.errors.WorkerCrashError`
+  (``on_poison="raise"``, the default: a checkpointed sweep must stay a
+  contiguous prefix) or yields the :data:`QUARANTINED` sentinel in its
+  slot (``on_poison="skip"``).
 
-Every action emits an advisory ``supervisor`` telemetry event (dropped
+With a tracer attached, every yielded item emits one ``sweep_item`` event
+*at yield time* — submission order — so serial and pooled runs of the
+same sweep produce identical canonical streams (only ``wall_s`` differs).
+Every supervision action emits an advisory ``supervisor`` event (dropped
 from the canonical projection — recovery explains *how* the run survived,
 never changes *what* it computed) and is tallied for the run-store
 manifest via :meth:`Supervisor.summary`.
@@ -38,6 +45,7 @@ failure the supervisor can contain.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -46,14 +54,22 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any
 
+from repro.errors import ConfigError, WorkerCrashError
 from repro.fabric.deadletter import DeadLetterLedger
-from repro.parallel.executor import WINDOW_PER_JOB, resolve_jobs
-from repro.errors import ConfigError, PoisonItemError
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.spans import SpanRecorder, maybe_span
 from repro.telemetry.timing import wall_clock
 from repro.telemetry.tracer import Tracer
 from repro.util.rng import rng_stream
+
+#: submission-window multiple: at most this many items per worker are
+#: in flight or buffered at once.
+WINDOW_PER_JOB = 4
+
+#: traced sweeps emit one ``progress`` heartbeat per this fraction of the
+#: sweep (at least every item); the cadence is a pure function of the item
+#: count, so serial and parallel streams stay equal.
+HEARTBEAT_FRACTION = 100
 
 #: the degradation ladder, least to most degraded.
 RUNGS = ("pool", "fresh-pool", "serial")
@@ -66,6 +82,29 @@ QUARANTINED = type("_Quarantined", (), {
 
 #: patchable sleep used for retry backoff (tests stub it out).
 _sleep = time.sleep
+
+
+def resolve_jobs(jobs: int | None = None) -> int:
+    """Worker count from an explicit ``--jobs`` value or ``REPRO_JOBS``.
+
+    ``None`` consults the environment and defaults to 1 (serial); ``0``
+    means one worker per available CPU.  Anything negative is refused.
+    """
+    if jobs is None:
+        env = os.environ.get("REPRO_JOBS", "").strip()
+        if not env:
+            return 1
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ConfigError(
+                f"REPRO_JOBS must be an integer, got {env!r}"
+            ) from None
+    if jobs == 0:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise ConfigError(f"jobs must be >= 0, got {jobs}")
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -115,36 +154,6 @@ class SupervisorPolicy:
             0.5, 1.5
         )
         return float(scale * jitter)
-
-
-def emit_supervisor_event(
-    events: list[dict],
-    tracer: Tracer | None,
-    metrics: MetricsRegistry | None,
-    *,
-    kind: str,
-    index: int,
-    attempt: int,
-    label: str | None = None,
-    rung: str | None = None,
-    detail: str | None = None,
-) -> dict:
-    """Record one supervision action everywhere it is observable: the
-    in-memory action log (-> run-store manifest), the advisory telemetry
-    stream, and the metrics registry."""
-    record: dict = {"kind": kind, "index": index, "attempt": attempt}
-    if label is not None:
-        record["label"] = label
-    if rung is not None:
-        record["rung"] = rung
-    if detail is not None:
-        record["detail"] = detail
-    events.append(record)
-    if tracer is not None:
-        tracer.emit("supervisor", **record)
-    if metrics is not None:
-        metrics.counter(f"supervisor.{kind}").inc()
-    return record
 
 
 class Supervisor:
@@ -199,13 +208,28 @@ class Supervisor:
         label: str | None = None,
         detail: str | None = None,
     ) -> None:
-        emit_supervisor_event(
-            self.events, self.tracer, self.metrics,
-            kind=kind, index=index, attempt=attempt, label=label,
-            rung=self.rung, detail=detail,
-        )
+        """Record one supervision action everywhere it is observable: the
+        action log (-> run-store manifest), the advisory telemetry stream
+        and the metrics registry."""
+        record: dict = {"kind": kind, "index": index, "attempt": attempt}
+        if label is not None:
+            record["label"] = label
+        record["rung"] = self.rung
+        if detail is not None:
+            record["detail"] = detail
+        self.events.append(record)
+        if self.tracer is not None:
+            self.tracer.emit("supervisor", **record)
+        if self.metrics is not None:
+            self.metrics.counter(f"supervisor.{kind}").inc()
 
-    def _observe_item_wall(self, wall_s: float) -> None:
+    def _complete(
+        self, ready: dict, index: int, result: Any, t0: float
+    ) -> None:
+        """Buffer one finished item with its wall time (start to result),
+        tallied per rung for :meth:`summary`."""
+        wall_s = wall_clock() - t0
+        ready[index] = (wall_s, result)
         hist = self._item_wall.get(self.rung)
         if hist is None:
             hist = self._item_wall[self.rung] = Histogram(
@@ -273,7 +297,12 @@ class Supervisor:
     # -- quarantine / retry shared paths ------------------------------------
 
     def _quarantine(
-        self, index: int, label: str, attempts: int, error: str
+        self,
+        index: int,
+        label: str,
+        attempts: int,
+        error: str,
+        cause: BaseException | None = None,
     ) -> None:
         """Give up on one item: ledger, event, then raise or mark skipped."""
         if self.deadletter is not None:
@@ -287,11 +316,11 @@ class Supervisor:
         )
         self.quarantined_indices.append(index)
         if self.policy.on_poison == "raise":
-            raise PoisonItemError(
-                f"work item #{index} ({label}) failed all "
-                f"{attempts} attempts: {error}",
+            raise WorkerCrashError(
+                f"work item #{index} ({label}) failed after "
+                f"{attempts} attempt(s): {error}",
                 index=index, label=label, attempts=attempts,
-            )
+            ) from cause
 
     def _retry(self, index: int, label: str, attempt: int, error: str) -> None:
         self._emit(
@@ -336,13 +365,19 @@ class Supervisor:
         attempts = [0] * total  # starts, including the first
         queue: deque[int] = deque(range(total))
         pending: dict[int, tuple[Any, float]] = {}  # index -> (future, t0)
-        ready: dict[int, Any] = {}
+        ready: dict[int, tuple[float, Any]] = {}  # index -> (wall_s, result)
         skipped: set[int] = set()
         emitted = 0
         while emitted < total:
             while emitted < total and (emitted in ready or emitted in skipped):
                 if emitted in ready:
-                    yield ready.pop(emitted)
+                    wall_s, result = ready.pop(emitted)
+                    if self.tracer is not None:
+                        self.tracer.emit(
+                            "sweep_item", index=emitted,
+                            label=self._label(labels, emitted), wall_s=wall_s,
+                        )
+                    yield result
                 else:
                     skipped.discard(emitted)
                     yield QUARANTINED
@@ -362,16 +397,18 @@ class Supervisor:
     def _step_serial(
         self, fn, work, labels, attempts, queue, pending, ready, skipped
     ) -> None:
-        # in-flight items inherited from a killed pool come first
-        for index in sorted(pending):
-            queue.appendleft(index)
-        pending.clear()
         if not self._serial_initialized:
+            # first serial step: in-flight items inherited from a killed
+            # pool rejoin the queue, which is put back in index order once
+            # (pool retries may have shuffled it) and stays so from here on
+            ordered = sorted({*queue, *pending})
+            queue.clear()
+            queue.extend(ordered)
+            pending.clear()
             if self._initializer is not None:
                 self._initializer(*self._initargs)
             self._serial_initialized = True
-        index = min(queue)
-        queue.remove(index)
+        index = queue.popleft()
         label = self._label(labels, index)
         while True:
             attempts[index] += 1
@@ -379,14 +416,16 @@ class Supervisor:
             try:
                 t0 = wall_clock()
                 with maybe_span(self.spans, "supervisor.item"):
-                    ready[index] = fn(work[index])
-                self._observe_item_wall(wall_clock() - t0)
+                    result = fn(work[index])
+                self._complete(ready, index, result, t0)
                 return
             except Exception as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 if attempts[index] >= self.policy.max_attempts:
                     # raises under on_poison='raise'
-                    self._quarantine(index, label, attempts[index], error)
+                    self._quarantine(
+                        index, label, attempts[index], error, exc
+                    )
                     skipped.add(index)
                     return
                 self._retry(index, label, attempts[index], error)
@@ -449,8 +488,7 @@ class Supervisor:
             future, t0 = pending.pop(index)
             label = self._label(labels, index)
             try:
-                ready[index] = future.result()
-                self._observe_item_wall(wall_clock() - t0)
+                self._complete(ready, index, future.result(), t0)
             except BrokenProcessPool as exc:
                 # a worker died hard (kill -9 / os._exit): the whole pool
                 # is unusable and *every* in-flight item is collateral
@@ -465,7 +503,9 @@ class Supervisor:
                 error = f"{type(exc).__name__}: {exc}"
                 if attempts[index] >= self.policy.max_attempts:
                     # raises under on_poison='raise'
-                    self._quarantine(index, label, attempts[index], error)
+                    self._quarantine(
+                        index, label, attempts[index], error, exc
+                    )
                     skipped.add(index)
                 else:
                     self._retry(index, label, attempts[index], error)

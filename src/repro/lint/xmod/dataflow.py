@@ -150,7 +150,7 @@ def submission_sites(
     """Worker-submission call sites inside one unit.
 
     A site is any call whose callee is an attribute named in
-    ``submit_methods`` (``executor.map_ordered(fn, items)``,
+    ``submit_methods`` (``executor.map_supervised(fn, items)``,
     ``pool.submit(fn, item)``) — receiver type is not checked, which can
     over-match foreign ``submit`` APIs; those are suppressed inline.
     """
@@ -178,7 +178,7 @@ def submission_sites(
 @dataclass
 class InitializerSite:
     """An ``initializer=``/``initargs=`` pair handed to an executor-like
-    constructor (ParallelExecutor, Supervisor, make_backend, a raw pool)."""
+    constructor (the fabric Supervisor, a raw process pool)."""
 
     call: ast.Call
     initializer: ast.expr | None = None

@@ -196,7 +196,7 @@ def _unit_path(ctx: XmodContext, unit: FunctionUnit) -> str:
     "PAR001",
     "non-module-level callable submitted to a process fan-out",
     "error",
-    "callables handed to ParallelExecutor/Supervisor/pool.submit must be "
+    "callables handed to Supervisor.map_supervised/pool.submit must be "
     "module-level functions: lambdas and nested defs capture state that "
     "fails to pickle or silently diverges between serial and parallel runs",
 )

@@ -16,11 +16,9 @@ from repro.resilience.checkpoint import (
 )
 from repro.errors import (
     CheckpointCorrupt,
-    CheckpointCorruptError,
     CheckpointMismatchError,
     ConfigError,
     PartitionInvariantError,
-    PoisonItemError,
     ProfilerFault,
     ReproError,
     SanitizerViolation,
@@ -45,7 +43,6 @@ from repro.resilience.sanitizer import ReproSanitizer
 __all__ = [
     "ANY_CORE",
     "CheckpointCorrupt",
-    "CheckpointCorruptError",
     "CheckpointMismatchError",
     "ConfigError",
     "DecisionGuard",
@@ -57,7 +54,6 @@ __all__ = [
     "GuardEvent",
     "LADDER",
     "PartitionInvariantError",
-    "PoisonItemError",
     "ProfilerFault",
     "ReproError",
     "ReproSanitizer",

@@ -18,9 +18,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.config import SystemConfig, scaled_config
-from repro.parallel.executor import ParallelExecutor
-from repro.resilience.checkpoint import SweepCheckpoint
 from repro.errors import CheckpointCorrupt, ConfigError
+from repro.fabric.supervisor import (
+    HEARTBEAT_FRACTION,
+    Supervisor,
+    SupervisorPolicy,
+)
+from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.faults import FaultPlan
 from repro.sim.stats import SystemResult
 from repro.sim.system import DETAILED_SCHEMES, CMPSystem
@@ -195,6 +199,23 @@ def _sweep_run(item: tuple[Mix, str]) -> SystemResult:
     return run_mix(mix, scheme, _WORKER["cfg"], _WORKER["settings"])
 
 
+def _sweep_supervisor(
+    jobs: int | None,
+    cfg: SystemConfig,
+    st: RunSettings,
+    tracer: Tracer | None,
+    metrics: MetricsRegistry | None,
+) -> Supervisor:
+    """The executor of the detailed sweeps.  A simulation is a pure
+    function of its item, so a raised error would only repeat: one
+    attempt per item, and the first failure aborts the sweep."""
+    return Supervisor(
+        jobs, policy=SupervisorPolicy(max_attempts=1),
+        initializer=_sweep_init, initargs=(cfg, st),
+        tracer=tracer, metrics=metrics,
+    )
+
+
 def compare_schemes(
     mix: Mix,
     config: SystemConfig | None = None,
@@ -211,7 +232,7 @@ def compare_schemes(
 
     The schemes are independent simulations of identical traces, so
     ``jobs`` runs them concurrently with bit-identical results (default
-    serial; see :func:`repro.parallel.executor.resolve_jobs`).
+    serial; see :func:`repro.fabric.supervisor.resolve_jobs`).
 
     With a ``tracer`` attached (and ``settings.trace`` enabled so the
     simulations record events), each run's event stream is merged into the
@@ -220,14 +241,11 @@ def compare_schemes(
     """
     cfg = config or scaled_config()
     st = settings or RunSettings()
-    executor = ParallelExecutor(
-        jobs, initializer=_sweep_init, initargs=(cfg, st),
-        tracer=tracer, metrics=metrics,
-    )
+    executor = _sweep_supervisor(jobs, cfg, st, tracer, metrics)
     results: dict[str, SystemResult] = {}
     for scheme, res in zip(
         schemes,
-        executor.map_ordered(
+        executor.map_supervised(
             _sweep_run,
             [(mix, s) for s in schemes],
             labels=[f"{mix}:{s}" for s in schemes],
@@ -311,17 +329,14 @@ def run_sweep(
     out = _restore_comparisons(ckpt.completed, mixes, schemes)
     todo = list(mixes[len(out):])
     items = [(mix, scheme) for mix in todo for scheme in schemes]
-    executor = ParallelExecutor(
-        jobs, initializer=_sweep_init, initargs=(cfg, st),
-        tracer=tracer, metrics=metrics,
-    )
+    executor = _sweep_supervisor(jobs, cfg, st, tracer, metrics)
     try:
         gathered: dict[str, SystemResult] = {}
-        heartbeat = max(1, len(todo) // 100)
+        heartbeat = max(1, len(todo) // HEARTBEAT_FRACTION)
         start = wall_clock() if tracer is not None else 0.0
         for (mix, scheme), res in zip(
             items,
-            executor.map_ordered(
+            executor.map_supervised(
                 _sweep_run, items,
                 labels=[f"{m}:{s}" for m, s in items],
             ),

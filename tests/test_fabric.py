@@ -1,13 +1,20 @@
-"""The sweep fabric: supervisor, backends, dead letters, chaos, resume."""
+"""The sweep fabric: supervisor, dead letters, chaos, supervised resume."""
 
 import dataclasses
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
 import repro.fabric.supervisor as supervisor_mod
-from repro.analysis.montecarlo import collect_profiles, run_monte_carlo
+from repro.analysis.montecarlo import (
+    _montecarlo_init,
+    _montecarlo_point,
+    collect_profiles,
+    run_monte_carlo,
+)
 from repro.config import scaled_config
 from repro.fabric import (
     QUARANTINED,
@@ -15,24 +22,25 @@ from repro.fabric import (
     ChaosPlan,
     DeadLetterError,
     DeadLetterLedger,
-    LocalClusterBackend,
     Supervisor,
     SupervisorPolicy,
-    make_backend,
     pick_labels,
-    run_fabric_monte_carlo,
     truncate_file,
 )
-from repro.fabric.backends import read_shard_result
 from repro.fabric.chaos import InjectedWorkerCrash
 from repro.resilience.checkpoint import backup_path, load_checkpoint
-from repro.errors import ConfigError, PoisonItemError
+from repro.errors import ConfigError, WorkerCrashError
 from repro.telemetry.events import canonical_events
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import Tracer
 from repro.workloads import random_mixes
 
 CFG = scaled_config(32, epoch_cycles=150_000)
+
+#: a 3-of-6 point checkpoint of ``run_monte_carlo(seed=11)`` over
+#: ``collect_profiles(config=CFG, accesses=2000)``, written by the runner
+#: that predates the supervised executor (format version 1)
+V1_CHECKPOINT = Path(__file__).parent / "data" / "mc_checkpoint_v1.json"
 
 
 @pytest.fixture(scope="module")
@@ -121,11 +129,12 @@ class TestSupervisorSerial:
         def poison(_x):
             raise ValueError("always")
 
-        with pytest.raises(PoisonItemError) as info:
+        with pytest.raises(WorkerCrashError, match="always") as info:
             list(sup.map_supervised(poison, ["a", "b"], labels=["la", "lb"]))
         assert info.value.index == 0
         assert info.value.label == "la"
         assert info.value.attempts == 2
+        assert isinstance(info.value.__cause__, ValueError)
         entries = ledger.entries()
         assert len(entries) == 1
         assert entries[0]["label"] == "la"
@@ -161,6 +170,9 @@ class TestSupervisorSerial:
         assert [e["kind"] for e in sup_events] == ["retry"]
         assert sup_events[0]["rung"] == "serial"
         assert metrics.snapshot()["counters"]["supervisor.retry"] == 1
+        # one sweep_item per yielded result, in submission order
+        items = tracer.select("sweep_item")
+        assert [(e["index"], e["label"]) for e in items] == [(0, "0")]
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +189,17 @@ class TestSupervisorPool:
         serial = list(Supervisor(1).map_supervised(_square, range(9)))
         pooled = list(Supervisor(2).map_supervised(_square, range(9)))
         assert pooled == serial
+
+    def test_sweep_items_match_serial(self):
+        def items(jobs):
+            tracer = Tracer()
+            list(Supervisor(jobs, tracer=tracer).map_supervised(
+                _square, range(9), labels=[f"m{i}" for i in range(9)]
+            ))
+            return canonical_events(tracer.events)
+
+        assert items(2) == items(1)
+        assert [e["label"] for e in items(1)] == [f"m{i}" for i in range(9)]
 
     def test_injected_crash_is_retried(self, tmp_path):
         plan = ChaosPlan(state_dir=str(tmp_path), crash_labels=("3",))
@@ -305,148 +328,38 @@ class TestChaosPlan:
 
 
 # ---------------------------------------------------------------------------
-# local-cluster backend
-
-
-def _fail_always(_x):
-    raise RuntimeError("cluster poison")
-
-
-class TestLocalCluster:
-    def _backend(self, root, **kw):
-        kw.setdefault("jobs", 2)
-        kw.setdefault("shard_size", 2)
-        return LocalClusterBackend(root, **kw)
-
-    def test_matches_inproc(self, tmp_path):
-        items = list(range(7))
-        expected = [x * x for x in items]
-        backend = self._backend(tmp_path / "cl")
-        assert list(backend.map_ordered(_square, items)) == expected
-
-    def test_resume_reuses_valid_shards(self, tmp_path):
-        items = list(range(6))
-        root = tmp_path / "cl"
-        first = self._backend(root)
-        assert list(first.map_ordered(_square, items)) \
-            == [x * x for x in items]
-        again = self._backend(root)
-        assert list(again.map_ordered(_square, items)) \
-            == [x * x for x in items]
-        assert again.rounds_used == 0  # nothing recomputed
-
-    def test_corrupt_shard_result_is_recomputed(self, tmp_path):
-        items = list(range(6))
-        root = tmp_path / "cl"
-        first = self._backend(root)
-        list(first.map_ordered(_square, items))
-        victim = root / "results" / "shard-000002-000004.json"
-        victim.write_text(victim.read_text()[:-10])
-        assert read_shard_result(root, 2, 4) is None
-        again = self._backend(root)
-        assert list(again.map_ordered(_square, items)) \
-            == [x * x for x in items]
-        assert again.rounds_used == 1
-        kinds = [e["kind"] for e in again.events]
-        assert "retry" in kinds  # the discarded corrupt shard
-
-    def test_orphaned_claim_is_reclaimed(self, tmp_path):
-        items = list(range(4))
-        root = tmp_path / "cl"
-        first = self._backend(root)
-        list(first.map_ordered(_square, items))
-        # simulate a worker that died holding a claim
-        name = "shard-000000-000002.json"
-        (root / "results" / name).unlink()
-        (root / "claims" / name).write_text('{"start": 0, "stop": 2}')
-        again = self._backend(root)
-        assert list(again.map_ordered(_square, items)) \
-            == [x * x for x in items]
-
-    def test_queue_binding_mismatch_refused(self, tmp_path):
-        root = tmp_path / "cl"
-        backend = self._backend(root)
-        list(backend.map_ordered(_square, [1, 2], meta={"seed": 1}))
-        other = self._backend(root)
-        with pytest.raises(ConfigError, match="different sweep"):
-            list(other.map_ordered(_square, [1, 2], meta={"seed": 2}))
-
-    def test_poison_shard_quarantined(self, tmp_path):
-        ledger = DeadLetterLedger(tmp_path / "dead.jsonl")
-        backend = self._backend(
-            tmp_path / "cl",
-            policy=SupervisorPolicy(max_attempts=2),
-            deadletter=ledger,
-        )
-        with pytest.raises(PoisonItemError):
-            list(backend.map_ordered(_fail_always, [1, 2, 3]))
-        assert len(ledger) >= 1
-        assert backend.quarantined_shards
-
-    def test_poison_shard_skip_mode(self, tmp_path):
-        backend = self._backend(
-            tmp_path / "cl",
-            policy=SupervisorPolicy(max_attempts=2, on_poison="skip"),
-        )
-        out = list(backend.map_ordered(_fail_always, [1, 2, 3]))
-        assert out == [QUARANTINED] * 3
-
-    def test_make_backend_needs_a_root(self):
-        with pytest.raises(ConfigError, match="cluster root"):
-            make_backend("local-cluster")
-
-    def test_make_backend_rejects_unknown(self):
-        with pytest.raises(ConfigError, match="unknown fabric backend"):
-            make_backend("carrier-pigeon")
-
-
-# ---------------------------------------------------------------------------
-# the fabric sweep: the PR's acceptance gate
+# the supervised Monte Carlo sweep
 
 
 class TestFabricSweep:
-    def test_inproc_matches_legacy_runner(self, curves):
-        legacy = run_monte_carlo(5, CFG, curves=curves, seed=11)
-        fabric = run_fabric_monte_carlo(
-            5, CFG, curves=curves, seed=11, backend="inproc"
-        )
-        assert [p.to_dict() for p in fabric.result.points] \
-            == [p.to_dict() for p in legacy.points]
+    def test_serial_matches_direct_evaluation(self, curves):
+        mixes = random_mixes(5, CFG.num_cores, seed=11)
+        _montecarlo_init(curves, CFG, 1)
+        direct = [_montecarlo_point(m).to_dict() for m in mixes]
+        swept = run_monte_carlo(5, CFG, curves=curves, seed=11)
+        assert [p.to_dict() for p in swept.points] == direct
+        assert swept.supervision["rung"] == "serial"
 
     def test_pool_matches_inproc(self, curves):
-        inproc = run_fabric_monte_carlo(
-            5, CFG, curves=curves, seed=11, backend="inproc"
-        )
-        pooled = run_fabric_monte_carlo(
-            5, CFG, curves=curves, seed=11, backend="pool", jobs=2
-        )
-        assert [p.to_dict() for p in pooled.result.points] \
-            == [p.to_dict() for p in inproc.result.points]
+        def run(jobs):
+            tracer = Tracer()
+            result = run_monte_carlo(
+                5, CFG, curves=curves, seed=11, jobs=jobs, tracer=tracer
+            )
+            return [p.to_dict() for p in result.points], tracer.events
 
-    def test_local_cluster_matches_inproc(self, curves, tmp_path):
-        inproc = run_fabric_monte_carlo(
-            5, CFG, curves=curves, seed=11, backend="inproc"
-        )
-        cluster = run_fabric_monte_carlo(
-            5, CFG, curves=curves, seed=11, backend="local-cluster",
-            jobs=2, cluster_root=tmp_path / "cl", shard_size=2,
-        )
-        assert [p.to_dict() for p in cluster.result.points] \
-            == [p.to_dict() for p in inproc.result.points]
+        (serial, t_serial), (pooled, t_pooled) = run(1), run(2)
+        assert pooled == serial
+        assert canonical_events(t_pooled) == canonical_events(t_serial)
+        # one dialect: mc_point carries the absolute index, so the
+        # executor's per-item events stay out of the Monte Carlo stream
+        assert not [e for e in t_serial if e["type"] == "sweep_item"]
 
     def test_checkpoint_with_skip_mode_refused(self, curves, tmp_path):
         with pytest.raises(ConfigError, match="contiguous-prefix"):
-            run_fabric_monte_carlo(
+            run_monte_carlo(
                 3, CFG, curves=curves,
                 policy=SupervisorPolicy(on_poison="skip"),
-                checkpoint_path=str(tmp_path / "c.json"),
-            )
-
-    def test_checkpoint_with_cluster_backend_refused(self, curves, tmp_path):
-        with pytest.raises(ConfigError, match="shard results"):
-            run_fabric_monte_carlo(
-                3, CFG, curves=curves, backend="local-cluster",
-                cluster_root=tmp_path / "cl",
                 checkpoint_path=str(tmp_path / "c.json"),
             )
 
@@ -455,9 +368,8 @@ class TestFabricSweep:
         resume produces the same canonical trace as a clean serial run."""
         n, seed = 8, 11
         t_clean = Tracer()
-        clean = run_fabric_monte_carlo(
-            n, CFG, curves=curves, seed=seed, backend="inproc",
-            tracer=t_clean,
+        clean = run_monte_carlo(
+            n, CFG, curves=curves, seed=seed, tracer=t_clean,
         )
         mixes = random_mixes(n, CFG.num_cores, seed=seed)
         labels = [str(m) for m in mixes]
@@ -472,22 +384,22 @@ class TestFabricSweep:
         ledger = DeadLetterLedger(tmp_path / "dead.jsonl")
         t_chaos = Tracer()
         with pytest.raises(ChaosAbort):
-            run_fabric_monte_carlo(
-                n, CFG, curves=curves, seed=seed, backend="pool", jobs=2,
+            run_monte_carlo(
+                n, CFG, curves=curves, seed=seed, jobs=2,
                 policy=policy, chaos=plan, checkpoint_path=ckpt,
                 checkpoint_every=2, tracer=t_chaos, deadletter=ledger,
             )
         assert load_checkpoint(ckpt, "monte-carlo")[1]  # progress persisted
         t_resume = Tracer()
-        resumed = run_fabric_monte_carlo(
-            n, CFG, curves=curves, seed=seed, backend="pool", jobs=2,
+        resumed = run_monte_carlo(
+            n, CFG, curves=curves, seed=seed, jobs=2,
             policy=policy, chaos=dataclasses.replace(plan, abort_after=None),
             checkpoint_path=ckpt, resume=True, tracer=t_resume,
             deadletter=ledger,
         )
-        assert len(resumed.result.points) == n
-        assert [p.to_dict() for p in resumed.result.points] \
-            == [p.to_dict() for p in clean.result.points]
+        assert len(resumed.points) == n
+        assert [p.to_dict() for p in resumed.points] \
+            == [p.to_dict() for p in clean.points]
         assert canonical_events(t_resume.events) \
             == canonical_events(t_clean.events)
         assert len(ledger) == 0  # every fault was survivable
@@ -497,40 +409,32 @@ class TestFabricSweep:
         ckpt = str(tmp_path / "ck.json")
         plan = ChaosPlan(state_dir=str(tmp_path / "chaos"), abort_after=4)
         with pytest.raises(ChaosAbort):
-            run_fabric_monte_carlo(
-                n, CFG, curves=curves, seed=seed, backend="inproc",
+            run_monte_carlo(
+                n, CFG, curves=curves, seed=seed,
                 chaos=plan, checkpoint_path=ckpt, checkpoint_every=2,
             )
         assert os.path.isfile(backup_path(ckpt))
         truncate_file(ckpt)  # tear the newest generation mid-byte
-        clean = run_fabric_monte_carlo(
-            n, CFG, curves=curves, seed=seed, backend="inproc"
-        )
-        resumed = run_fabric_monte_carlo(
-            n, CFG, curves=curves, seed=seed, backend="inproc",
-            checkpoint_path=ckpt, resume=True,
-        )
-        assert [p.to_dict() for p in resumed.result.points] \
-            == [p.to_dict() for p in clean.result.points]
-
-    def test_fabric_checkpoint_resumes_under_legacy_runner(
-        self, curves, tmp_path
-    ):
-        """Same kind + meta: the two runners' snapshots interoperate."""
-        n, seed = 6, 11
-        ckpt = str(tmp_path / "ck.json")
-        plan = ChaosPlan(state_dir=str(tmp_path / "chaos"), abort_after=3)
-        with pytest.raises(ChaosAbort):
-            run_fabric_monte_carlo(
-                n, CFG, curves=curves, seed=seed, backend="inproc",
-                chaos=plan, checkpoint_path=ckpt,
-            )
-        legacy = run_monte_carlo(
+        clean = run_monte_carlo(n, CFG, curves=curves, seed=seed)
+        resumed = run_monte_carlo(
             n, CFG, curves=curves, seed=seed,
             checkpoint_path=ckpt, resume=True,
         )
-        clean = run_monte_carlo(n, CFG, curves=curves, seed=seed)
-        assert [p.to_dict() for p in legacy.points] \
+        assert [p.to_dict() for p in resumed.points] \
+            == [p.to_dict() for p in clean.points]
+
+    def test_v1_checkpoint_resumes(self, curves, tmp_path):
+        """A snapshot from the pre-supervisor runner resumes unchanged:
+        the executor moved, the checkpoint format did not."""
+        ckpt = str(tmp_path / "ck.json")
+        shutil.copy(V1_CHECKPOINT, ckpt)
+        assert len(load_checkpoint(ckpt, "monte-carlo")[1]) == 3
+        resumed = run_monte_carlo(
+            6, CFG, curves=curves, seed=11,
+            checkpoint_path=ckpt, resume=True,
+        )
+        clean = run_monte_carlo(6, CFG, curves=curves, seed=11)
+        assert [p.to_dict() for p in resumed.points] \
             == [p.to_dict() for p in clean.points]
 
     def test_poison_skip_quarantines_into_ledger(self, curves, tmp_path):
@@ -542,13 +446,12 @@ class TestFabricSweep:
             poison_labels=pick_labels(labels, 1, 3, "poison"),
         )
         ledger = DeadLetterLedger(tmp_path / "dead.jsonl")
-        run = run_fabric_monte_carlo(
-            n, CFG, curves=curves, seed=seed, backend="pool", jobs=2,
+        result = run_monte_carlo(
+            n, CFG, curves=curves, seed=seed, jobs=2,
             policy=SupervisorPolicy(max_attempts=2, on_poison="skip"),
             chaos=plan, deadletter=ledger,
         )
-        assert len(run.result.points) == n - 1
+        assert len(result.points) == n - 1
         assert len(ledger) == 1
-        summary = run.supervisor_summary()
-        assert summary["actions"].get("quarantine") == 1
-        assert summary["quarantined"]
+        assert result.supervision["actions"].get("quarantine") == 1
+        assert result.supervision["quarantined"]

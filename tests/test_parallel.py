@@ -21,8 +21,8 @@ from repro.analysis.montecarlo import (
     run_monte_carlo,
 )
 from repro.config import scaled_config
+from repro.fabric.supervisor import Supervisor, SupervisorPolicy, resolve_jobs
 from repro.parallel.bench import run_bench_suite
-from repro.parallel.executor import ParallelExecutor, resolve_jobs
 from repro.parallel.profile_cache import ProfileCache, default_cache_dir
 from repro.resilience.checkpoint import load_checkpoint
 from repro.errors import (
@@ -43,12 +43,21 @@ def curves_by_name():
 
 
 # ---------------------------------------------------------------------------
-# resolve_jobs / ParallelExecutor
+# resolve_jobs / the supervised executor's ordered map
 # ---------------------------------------------------------------------------
+
+#: the detailed sweeps' policy: no retries, the first failure aborts
+FAIL_FAST = SupervisorPolicy(max_attempts=1)
 
 
 def _square(x):
     return x * x
+
+
+def _map(jobs, fn, items, **kw):
+    return list(Supervisor(jobs, policy=FAIL_FAST, **kw).map_supervised(
+        fn, items
+    ))
 
 
 class TestResolveJobs:
@@ -79,32 +88,30 @@ class TestResolveJobs:
 
 class TestMapOrdered:
     def test_serial_preserves_order(self):
-        out = list(ParallelExecutor(1).map_ordered(_square, range(10)))
-        assert out == [x * x for x in range(10)]
+        assert _map(1, _square, range(10)) == [x * x for x in range(10)]
 
     def test_pool_matches_serial_order(self):
-        serial = list(ParallelExecutor(1).map_ordered(_square, range(40)))
-        pooled = list(ParallelExecutor(2).map_ordered(_square, range(40)))
-        assert pooled == serial
+        assert _map(2, _square, range(40)) == _map(1, _square, range(40))
 
     def test_single_item_stays_in_process(self):
         """One item never pays pool startup (also: fn needs no pickling)."""
-        out = list(ParallelExecutor(4).map_ordered(lambda x: x + 1, [41]))
-        assert out == [42]
+        assert _map(4, lambda x: x + 1, [41]) == [42]
 
     def test_serial_runs_initializer(self):
         state = {}
-        ex = ParallelExecutor(1, initializer=state.update,
-                              initargs=({"ready": True},))
-        assert list(ex.map_ordered(_square, [3])) == [9]
+        out = _map(1, _square, [3], initializer=state.update,
+                   initargs=({"ready": True},))
+        assert out == [9]
         assert state == {"ready": True}
 
     def test_worker_exception_propagates(self):
         def boom(x):
             raise RuntimeError("worker died")
 
-        with pytest.raises(RuntimeError, match="worker died"):
-            list(ParallelExecutor(1).map_ordered(boom, [1]))
+        with pytest.raises(WorkerCrashError, match="worker died") as info:
+            _map(1, boom, [1])
+        assert info.value.attempts == 1
+        assert isinstance(info.value.__cause__, RuntimeError)
 
 
 class _MarkSleepWorker:
@@ -139,7 +146,7 @@ class TestPromptCancellation:
     def test_worker_exception_cancels_queued_items(self, tmp_path):
         worker = _MarkSleepWorker(tmp_path, poison=0)
         with pytest.raises(WorkerCrashError, match="poison item") as info:
-            list(ParallelExecutor(2).map_ordered(worker, range(8)))
+            _map(2, worker, range(8))
         # the typed wrapper names the failing item and keeps the original
         # exception chained for debugging
         assert info.value.index == 0
@@ -149,7 +156,9 @@ class TestPromptCancellation:
 
     def test_abandoned_generator_cancels_queued_items(self, tmp_path):
         worker = _MarkSleepWorker(tmp_path)
-        gen = ParallelExecutor(2).map_ordered(worker, range(8))
+        gen = Supervisor(2, policy=FAIL_FAST).map_supervised(
+            worker, range(8)
+        )
         assert next(gen) == 0
         gen.close()  # GeneratorExit must reach the cancellation path
         assert len(os.listdir(tmp_path)) < 7

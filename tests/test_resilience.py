@@ -13,7 +13,6 @@ from repro.partitioning.bank_aware import bank_aware_partition
 from repro.profiling.msa import MSAProfiler
 from repro.resilience import (
     CheckpointCorrupt,
-    CheckpointCorruptError,
     ConfigError,
     DecisionGuard,
     DegradedMode,
@@ -29,6 +28,8 @@ from repro.resilience import (
 from repro.resilience.checkpoint import backup_path
 from repro.sim.controller import EpochController
 from repro.sim.runner import RunSettings, run_mix, run_sweep
+from repro.telemetry.events import canonical_events
+from repro.telemetry.tracer import Tracer
 from repro.util.rng import rng_stream
 from repro.workloads import TABLE_III_SETS, generate_trace, get, random_mixes
 
@@ -552,9 +553,6 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointCorrupt, match="JSON"):
             load_checkpoint(path, "k")
 
-    def test_corrupt_error_alias_is_the_same_class(self):
-        assert CheckpointCorruptError is CheckpointCorrupt
-
 
 class TestMonteCarloResume:
     def test_killed_and_resumed_sweep_is_bit_identical(
@@ -594,6 +592,42 @@ class TestMonteCarloResume:
             assert a.unrestricted_misses == b.unrestricted_misses
             assert a.bank_aware_misses == b.bank_aware_misses
             assert a.bank_aware_ways == b.bank_aware_ways
+
+    def test_killed_and_resumed_trace_is_canonically_identical(
+        self, tmp_path, curves_by_name
+    ):
+        """Default path (jobs=1), a real interrupt after some points: the
+        resumed run narrates the whole sweep exactly as an uninterrupted
+        run does — no restored count in run_meta, restored points
+        re-emitted, progress on absolute positions."""
+        path = str(tmp_path / "mc.json")
+        clean = Tracer()
+        run_monte_carlo(12, CFG, curves=curves_by_name, seed=77,
+                        tracer=clean)
+
+        class Killer(dict):
+            """Curve store that dies after ``fuse`` lookups (8 per mix)."""
+
+            def __init__(self, inner, fuse):
+                super().__init__(inner)
+                self.fuse = fuse
+
+            def __getitem__(self, key):
+                self.fuse -= 1
+                if self.fuse <= 0:
+                    raise KeyboardInterrupt
+                return super().__getitem__(key)
+
+        with pytest.raises(KeyboardInterrupt):
+            run_monte_carlo(12, CFG, curves=Killer(curves_by_name, 45),
+                            seed=77, checkpoint_path=path, tracer=Tracer())
+        _, completed = load_checkpoint(path, "monte-carlo")
+        assert len(completed) == 5
+        resumed = Tracer()
+        run_monte_carlo(12, CFG, curves=curves_by_name, seed=77,
+                        checkpoint_path=path, resume=True, tracer=resumed)
+        assert canonical_events(resumed.events) \
+            == canonical_events(clean.events)
 
     def test_resume_into_longer_sweep(self, tmp_path, curves_by_name):
         path = str(tmp_path / "mc.json")
