@@ -2,8 +2,11 @@
 
 A self-contained, stdlib-``ast`` rule engine that machine-checks the
 invariants the paper states but Python cannot enforce: seeded randomness
-only (DET001), no wall clock in the simulator (DET002), no float equality
-(FP001), guarded partition construction (INV001) and API hygiene (API001).
+only (DET001, DET003), no wall clock in the simulator (DET002), no float
+equality (FP001), guarded partition construction (INV001), API hygiene
+(API001, RES002, ERR001), picklable and race-free fan-out work (PAR001,
+PAR002) and telemetry that matches its schema (TEL001).  Every rule runs
+in one pass over one parsed :class:`~repro.lint.xmod.symbols.Project`.
 
 Typical use::
 
@@ -26,17 +29,15 @@ from repro.lint.engine import (
     PARSE_RULE,
     collect_suppressions,
     lint_paths,
+    lint_project,
     lint_source,
 )
 from repro.lint.findings import JSON_SCHEMA_VERSION, Finding, LintResult
 from repro.lint.report import render_json, render_rules, render_text
 from repro.lint.rules import RULES, FileContext, Rule
 from repro.lint.sarif import render_sarif, to_sarif
-from repro.lint.xmod import XMOD_RULES, analyze_paths
 
 __all__ = [
-    "XMOD_RULES",
-    "analyze_paths",
     "render_sarif",
     "to_sarif",
     "Finding",
@@ -52,6 +53,7 @@ __all__ = [
     "config_from_mapping",
     "find_pyproject",
     "lint_paths",
+    "lint_project",
     "lint_source",
     "load_config",
     "render_json",

@@ -28,6 +28,13 @@ when the fragment occurs in its ``/``-joined path as given on the command
 line (e.g. ``repro/sim/`` matches ``src/repro/sim/controller.py``).  That
 keeps the config independent of where the tree is checked out.
 
+Unknown keys, top-level or in the ``rules`` table, raise
+:class:`LintConfigError`: a typo must not silently disable a rule.  What
+the cross-module rules anchor on (the CLI handlers ERR001 traces from, the
+``ReproError`` base, the fan-out submission methods, the telemetry events
+module) is fixed by this repository's layout, so those are constants in
+:mod:`repro.lint.xmod`, not configuration.
+
 Parsing uses :mod:`tomllib` (Python >= 3.11).  On 3.10, where tomllib does
 not exist, the engine silently falls back to the built-in defaults — the
 rules still run, only project overrides are unavailable.
@@ -68,7 +75,8 @@ class LintConfig:
     select: tuple[str, ...] = ()
     ignore: tuple[str, ...] = ()
     severity: dict[str, str] = field(default_factory=dict)
-    #: files allowed to use raw RNG constructors (DET001).
+    #: the RNG chokepoint: files allowed to use raw RNG constructors
+    #: (DET001, and DET003 through import aliases).
     det001_allow: tuple[str, ...] = ("repro/util/rng.py",)
     #: deterministic subsystems where wall-clock reads are forbidden (DET002).
     det002_paths: tuple[str, ...] = (
@@ -89,20 +97,6 @@ class LintConfig:
     api001_annotation_paths: tuple[str, ...] = ("src/",)
     #: paths where swallow-only broad except handlers are forbidden (RES002).
     res002_paths: tuple[str, ...] = ("repro/",)
-    #: files allowed to construct raw numpy generators (DET003, xmod).
-    det003_allow: tuple[str, ...] = ("repro/util/rng.py",)
-    #: ``module:prefix`` specs naming the CLI roots ERR001 traces from.
-    err001_entrypoints: tuple[str, ...] = ("repro.cli:cmd_",)
-    #: the taxonomy base every CLI-reachable raise must derive from.
-    err001_base: str = "repro.errors.ReproError"
-    #: attribute-call names treated as worker submissions (PAR001/PAR002).
-    xmod_submit_methods: tuple[str, ...] = (
-        "map_ordered",
-        "map_supervised",
-        "submit",
-    )
-    #: module whose EVENT_SCHEMAS/COMMON_FIELDS TEL001 checks against.
-    tel001_events_module: str = "repro.telemetry.events"
 
     def __post_init__(self) -> None:
         for rule_id, severity in self.severity.items():
@@ -132,18 +126,25 @@ def _str_tuple(section: dict, key: str, where: str) -> tuple[str, ...] | None:
     return tuple(value)
 
 
+#: ``[tool.repro-lint.rules]`` key -> LintConfig field.
+_RULE_KEYS = {
+    "det001-allow": "det001_allow",
+    "det002-paths": "det002_paths",
+    "det002-allow": "det002_allow",
+    "inv001-allow": "inv001_allow",
+    "api001-annotation-paths": "api001_annotation_paths",
+    "res002-paths": "res002_paths",
+}
+
+
 def config_from_mapping(data: dict) -> LintConfig:
     """Build a :class:`LintConfig` from a parsed ``[tool.repro-lint]`` table."""
     cfg = LintConfig()
     updates: dict[str, object] = {}
-    for toml_key, attr in (
-        ("exclude", "exclude"),
-        ("select", "select"),
-        ("ignore", "ignore"),
-    ):
-        value = _str_tuple(data, toml_key, "tool.repro-lint")
+    for key in ("exclude", "select", "ignore"):
+        value = _str_tuple(data, key, "tool.repro-lint")
         if value is not None:
-            updates[attr] = value
+            updates[key] = value
     severity = data.get("severity", {})
     if not isinstance(severity, dict):
         raise LintConfigError("tool.repro-lint.severity must be a table")
@@ -152,30 +153,14 @@ def config_from_mapping(data: dict) -> LintConfig:
     rules = data.get("rules", {})
     if not isinstance(rules, dict):
         raise LintConfigError("tool.repro-lint.rules must be a table")
-    for toml_key, attr in (
-        ("det001-allow", "det001_allow"),
-        ("det002-paths", "det002_paths"),
-        ("det002-allow", "det002_allow"),
-        ("inv001-allow", "inv001_allow"),
-        ("api001-annotation-paths", "api001_annotation_paths"),
-        ("res002-paths", "res002_paths"),
-        ("det003-allow", "det003_allow"),
-        ("err001-entrypoints", "err001_entrypoints"),
-        ("xmod-submit-methods", "xmod_submit_methods"),
-    ):
+    unknown_rules = set(rules) - set(_RULE_KEYS)
+    if unknown_rules:
+        raise LintConfigError(
+            f"unknown tool.repro-lint.rules keys: {sorted(unknown_rules)}"
+        )
+    for toml_key, attr in _RULE_KEYS.items():
         value = _str_tuple(rules, toml_key, "tool.repro-lint.rules")
         if value is not None:
-            updates[attr] = value
-    for toml_key, attr in (
-        ("err001-base", "err001_base"),
-        ("tel001-events-module", "tel001_events_module"),
-    ):
-        if toml_key in rules:
-            value = rules[toml_key]
-            if not isinstance(value, str):
-                raise LintConfigError(
-                    f"tool.repro-lint.rules.{toml_key} must be a string"
-                )
             updates[attr] = value
     unknown = set(data) - {"exclude", "select", "ignore", "severity", "rules"}
     if unknown:
@@ -185,14 +170,18 @@ def config_from_mapping(data: dict) -> LintConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def find_pyproject(start: Path | None = None) -> Path | None:
-    """Nearest ``pyproject.toml`` at or above ``start`` (default: cwd)."""
+def find_upwards(name: str, start: Path | None = None) -> Path | None:
+    """Nearest file called ``name`` at or above ``start`` (default: cwd)."""
     here = (start or Path.cwd()).resolve()
     for candidate in (here, *here.parents):
-        pyproject = candidate / "pyproject.toml"
-        if pyproject.is_file():
-            return pyproject
+        if (candidate / name).is_file():
+            return candidate / name
     return None
+
+
+def find_pyproject(start: Path | None = None) -> Path | None:
+    """Nearest ``pyproject.toml`` at or above ``start`` (default: cwd)."""
+    return find_upwards("pyproject.toml", start)
 
 
 def load_config(pyproject: Path | None = None) -> LintConfig:

@@ -1,4 +1,10 @@
-"""The lint engine: file discovery, suppression handling, rule dispatch.
+"""The lint engine: file discovery, the one rule pass, suppressions.
+
+``repro lint`` is one pass over one :class:`~repro.lint.xmod.symbols.Project`:
+every file is read, parsed and tokenized once, every enabled rule in
+:data:`~repro.lint.rules.RULES` (single-file and cross-module alike) runs
+over the project, and suppressions and PARSE001 are applied here, in one
+place.
 
 Suppressions are inline comments on the flagged line::
 
@@ -14,89 +20,54 @@ exclude the file in ``[tool.repro-lint]`` instead if it truly is exempt.
 
 from __future__ import annotations
 
-import ast
-import io
-import re
-import tokenize
 from pathlib import Path
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, LintResult
-from repro.lint.rules import RULES, FileContext
+from repro.lint.rules import RULES
+
+# importing the cross-module rules also registers them into RULES
+from repro.lint.xmod.rules import RuleContext
+from repro.lint.xmod.symbols import Project, collect_suppressions
 
 #: rule id reserved for files the engine cannot parse.
 PARSE_RULE = "PARSE001"
 
-_SUPPRESS_RE = re.compile(
-    r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+|all)\s*$"
-)
 
-
-def collect_suppressions(source: str) -> dict[int, set[str]]:
-    """Map line number -> rule ids disabled on that line (``{'all'}`` for a
-    blanket line suppression)."""
-    suppressions: dict[int, set[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _SUPPRESS_RE.search(token.string)
-            if match is None:
-                continue
-            ids = {part.strip() for part in match.group(1).split(",")}
-            suppressions.setdefault(token.start[0], set()).update(
-                i for i in ids if i
-            )
-    except tokenize.TokenError:
-        # Unterminated constructs: the ast parse will report the real error.
-        pass
-    return suppressions
-
-
-def _suppressed(
-    finding_line: int, rule_id: str, suppressions: dict[int, set[str]]
-) -> bool:
-    active = suppressions.get(finding_line, ())
-    return rule_id in active or "all" in active
-
-
-def lint_source(source: str, path: str, config: LintConfig) -> list[Finding]:
-    """Lint one already-read source blob (the unit the tests target)."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                column=(exc.offset or 1) - 1,
-                rule=PARSE_RULE,
-                severity="error",
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    suppressions = collect_suppressions(source)
-    ctx = FileContext(path=path, config=config)
-    findings: list[Finding] = []
+def lint_project(project: Project, config: LintConfig) -> list[Finding]:
+    """Run every enabled rule over ``project``: the one lint pass."""
+    findings = [
+        Finding(
+            path, line, column, PARSE_RULE, "error",
+            f"file does not parse: {message}",
+        )
+        for path, line, column, message in project.parse_failures
+    ]
+    ctx = RuleContext(project=project, config=config)
+    suppressions = {
+        info.path: info.suppressions for info in project.modules.values()
+    }
     for rule in RULES.values():
         if not config.rule_enabled(rule.id):
             continue
         severity = config.severity_of(rule.id, rule.default_severity)
-        for line, column, message in rule.check(tree, ctx):
-            if _suppressed(line, rule.id, suppressions):
+        for path, line, column, message in rule.check(ctx):
+            active = suppressions[path].get(line, ())
+            if rule.id in active or "all" in active:
                 continue
             findings.append(
-                Finding(
-                    path=path,
-                    line=line,
-                    column=column,
-                    rule=rule.id,
-                    severity=severity,
-                    message=message,
-                )
+                Finding(path, line, column, rule.id, severity, message)
             )
-    return sorted(findings)
+    # one callable flowing into several submission sites yields the same
+    # finding once per site — report each distinct location once
+    return sorted(dict.fromkeys(findings))
+
+
+def lint_source(source: str, path: str, config: LintConfig) -> list[Finding]:
+    """Lint one already-read source blob (the unit the rule tests target)."""
+    project = Project()
+    project.add(Path(path), source)
+    return lint_project(project, config)
 
 
 def _excluded(path: Path, exclude: tuple[str, ...]) -> bool:
@@ -147,12 +118,11 @@ def iter_python_files(
 
 def lint_paths(paths: list[str], config: LintConfig) -> LintResult:
     """Lint every Python file under ``paths`` (files or directories)."""
-    findings: list[Finding] = []
     files = iter_python_files(paths, config)
-    for path in files:
-        findings.extend(
-            lint_source(
-                path.read_text(encoding="utf-8"), path.as_posix(), config
-            )
-        )
-    return LintResult(findings=tuple(sorted(findings)), files_checked=len(files))
+    findings = lint_project(Project.load(files), config)
+    return LintResult(
+        findings=tuple(findings),
+        files_checked=len(files),
+        paths=tuple(path.as_posix() for path in files),
+    )
+

@@ -60,6 +60,8 @@ class LintResult:
 
     findings: tuple[Finding, ...]
     files_checked: int
+    #: posix path of every file the run analysed (the baseline's scope).
+    paths: tuple[str, ...] = ()
 
     @property
     def error_count(self) -> int:

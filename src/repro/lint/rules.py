@@ -1,7 +1,12 @@
-"""The domain-invariant rule catalogue of ``repro lint``.
+"""The rule registry of ``repro lint`` and its single-file rules.
 
-Each rule encodes an invariant the paper (or this reproduction's
-architecture) depends on but Python cannot enforce by itself:
+Every rule, single-file or cross-module, registers into one :data:`RULES`
+dict and is checked the same way: ``check(ctx)`` yields ``(path, line,
+col, message)`` over the whole :class:`~repro.lint.xmod.symbols.Project`.
+The cross-module rules live in :mod:`repro.lint.xmod.rules`; the rules
+here each need only one module's AST and are written as
+``(tree, file_ctx) -> (line, col, message)`` checks, lifted to the project
+by :func:`per_file`:
 
 * **DET001 — seeded randomness only.**  Every stochastic component must
   draw from :func:`repro.util.rng.rng_stream`; raw ``random`` /
@@ -25,8 +30,7 @@ architecture) depends on but Python cannot enforce by itself:
   ``pass``/``...`` hides worker crashes from the fault-tolerance layer;
   failures must be wrapped, retried, quarantined, or at least logged.
 
-A rule is a pure function ``(tree, ctx) -> iterator of (line, col, msg)``;
-the engine attaches severities, applies suppressions and sorts.
+The engine attaches severities, applies suppressions and sorts.
 """
 
 from __future__ import annotations
@@ -34,16 +38,24 @@ from __future__ import annotations
 import ast
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.lint.config import LintConfig
 
-RawFinding = tuple[int, int, str]
-CheckFn = Callable[[ast.Module, "FileContext"], Iterator[RawFinding]]
+if TYPE_CHECKING:
+    from repro.lint.xmod.rules import RuleContext
+
+#: (path, line, column, message)
+RawFinding = tuple[str, int, int, str]
+#: (line, column, message) within the file a single-file check is given
+LineFinding = tuple[int, int, str]
+CheckFn = Callable[["RuleContext"], Iterator[RawFinding]]
+FileCheckFn = Callable[[ast.Module, "FileContext"], Iterator[LineFinding]]
 
 
 @dataclass(frozen=True)
 class FileContext:
-    """Everything a rule may consult about the file being linted."""
+    """Everything a single-file rule may consult about the file."""
 
     path: str  #: posix-joined path exactly as passed on the command line
     config: LintConfig
@@ -67,7 +79,7 @@ class Rule:
 RULES: dict[str, Rule] = {}
 
 
-def _register(
+def register(
     rule_id: str, title: str, severity: str, rationale: str
 ) -> Callable[[CheckFn], CheckFn]:
     def wrap(fn: CheckFn) -> CheckFn:
@@ -75,6 +87,18 @@ def _register(
         return fn
 
     return wrap
+
+
+def per_file(check: FileCheckFn) -> CheckFn:
+    """Lift a one-module check to the project: run it on every module."""
+
+    def lifted(ctx: RuleContext) -> Iterator[RawFinding]:
+        for info in ctx.project.modules.values():
+            file_ctx = FileContext(path=info.path, config=ctx.config)
+            for line, column, message in check(info.tree, file_ctx):
+                yield info.path, line, column, message
+
+    return lifted
 
 
 def _loc(node: ast.AST) -> tuple[int, int]:
@@ -97,14 +121,15 @@ def _is_np_random(node: ast.expr) -> bool:
     )
 
 
-@_register(
+@register(
     "DET001",
     "unseeded randomness outside util/rng.py",
     "error",
     "all randomness must derive from repro.util.rng.rng_stream so every "
     "experiment is replayable from (seed, keys)",
 )
-def _det001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
+@per_file
+def _det001(tree: ast.Module, ctx: FileContext) -> Iterator[LineFinding]:
     if ctx.matches(ctx.config.det001_allow):
         return
     for node in ast.walk(tree):
@@ -151,14 +176,15 @@ _WALL_CLOCK_ATTRS = {
 }
 
 
-@_register(
+@register(
     "DET002",
     "wall-clock read inside the deterministic simulator",
     "error",
     "sim/, cache/ and partitioning/ operate in simulated cycles only; "
     "host-clock reads make runs irreproducible",
 )
-def _det002(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
+@per_file
+def _det002(tree: ast.Module, ctx: FileContext) -> Iterator[LineFinding]:
     if not ctx.matches(ctx.config.det002_paths):
         return
     if ctx.matches(ctx.config.det002_allow):
@@ -216,7 +242,7 @@ def _is_float_expr(node: ast.expr) -> bool:
     )
 
 
-@_register(
+@register(
     "FP001",
     "equality comparison between float-typed expressions",
     "error",
@@ -224,7 +250,8 @@ def _is_float_expr(node: ast.expr) -> bool:
     "evaluation order — use math.isclose/pytest.approx or compare the "
     "underlying integer counters",
 )
-def _fp001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
+@per_file
+def _fp001(tree: ast.Module, ctx: FileContext) -> Iterator[LineFinding]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Compare):
             continue
@@ -246,7 +273,7 @@ def _fp001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
 # -- INV001 ------------------------------------------------------------------
 
 
-@_register(
+@register(
     "INV001",
     "direct PartitionMap construction outside the partitioning layer",
     "error",
@@ -254,7 +281,8 @@ def _fp001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
     "DecisionGuard so way conservation, the 9/16 cap and Rules 1-3 are "
     "validated before installation",
 )
-def _inv001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
+@per_file
+def _inv001(tree: ast.Module, ctx: FileContext) -> Iterator[LineFinding]:
     if ctx.matches(ctx.config.inv001_allow):
         return
     for node in ast.walk(tree):
@@ -319,7 +347,7 @@ def _unannotated(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     return missing
 
 
-@_register(
+@register(
     "API001",
     "API hygiene: mutable defaults, bare except, unannotated public API",
     "error",
@@ -327,7 +355,8 @@ def _unannotated(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     "KeyboardInterrupt/SystemExit, and the public library surface must be "
     "typed",
 )
-def _api001(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
+@per_file
+def _api001(tree: ast.Module, ctx: FileContext) -> Iterator[LineFinding]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defaults = [*node.args.defaults, *node.args.kw_defaults]
@@ -408,7 +437,7 @@ def _swallows_silently(handler: ast.ExceptHandler) -> bool:
     return True
 
 
-@_register(
+@register(
     "RES002",
     "broad exception swallowed silently",
     "error",
@@ -416,7 +445,8 @@ def _swallows_silently(handler: ast.ExceptHandler) -> bool:
     "from the supervision layer; wrap in a typed error, retry, quarantine "
     "to the dead-letter ledger, or at minimum record the failure",
 )
-def _res002(tree: ast.Module, ctx: FileContext) -> Iterator[RawFinding]:
+@per_file
+def _res002(tree: ast.Module, ctx: FileContext) -> Iterator[LineFinding]:
     if not ctx.matches(ctx.config.res002_paths):
         return
     for node in ast.walk(tree):

@@ -5,7 +5,7 @@ GitHub's code-scanning UI ingests, turning findings into inline PR
 annotations.  The mapping from the engine's model is small and lossless:
 
 * one *run* with one *tool driver* (``repro-lint``), its rule catalogue
-  populated from both the per-file and cross-module registries;
+  populated from the rule registry;
 * one *result* per :class:`~repro.lint.findings.Finding`; severity
   ``error`` maps to SARIF level ``error``, ``advice`` to ``warning``;
 * locations use 1-based lines (shared convention) and 1-based columns
@@ -21,7 +21,6 @@ import json
 
 from repro.lint.findings import Finding, LintResult
 from repro.lint.rules import RULES
-from repro.lint.xmod.rules import XMOD_RULES
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -33,25 +32,18 @@ _LEVELS = {"error": "error", "advice": "warning"}
 
 
 def _rule_catalogue() -> list[dict[str, object]]:
-    """Every known rule id, per-file and cross-module, as SARIF metadata."""
-    catalogue: list[dict[str, object]] = []
-    seen: set[str] = set()
-    for registry in (RULES, XMOD_RULES):
-        for rule in registry.values():
-            if rule.id in seen:
-                continue
-            seen.add(rule.id)
-            catalogue.append(
-                {
-                    "id": rule.id,
-                    "shortDescription": {"text": rule.title},
-                    "fullDescription": {"text": rule.rationale},
-                    "defaultConfiguration": {
-                        "level": _LEVELS.get(rule.default_severity, "warning")
-                    },
-                }
-            )
-    return sorted(catalogue, key=lambda r: str(r["id"]))
+    """Every registered rule as SARIF metadata, sorted by id."""
+    return [
+        {
+            "id": rule.id,
+            "shortDescription": {"text": rule.title},
+            "fullDescription": {"text": rule.rationale},
+            "defaultConfiguration": {
+                "level": _LEVELS.get(rule.default_severity, "warning")
+            },
+        }
+        for rule in sorted(RULES.values(), key=lambda rule: rule.id)
+    ]
 
 
 def _result_of(finding: Finding) -> dict[str, object]:

@@ -1,10 +1,10 @@
-"""The cross-module rule catalogue of ``repro lint --xmod``.
+"""The cross-module rules of ``repro lint``, and the context every rule sees.
 
-Each rule enforces a contract the per-file engine cannot see because it
+Each rule here enforces a contract no single-file check can see because it
 spans modules:
 
 * **PAR001 — submitted callables must pickle.**  A callable handed to
-  ``map_ordered``/``map_supervised``/``submit`` must resolve to a
+  ``map_supervised``/``submit`` must resolve to a
   module-level function: lambdas and nested defs capture state that either
   fails to pickle (pool backends) or silently diverges between the serial
   and parallel paths.
@@ -14,7 +14,7 @@ spans modules:
   so the write is lost, unordered, or both — a race against determinism.
 * **DET003 — RNG provenance.**  Every numpy ``Generator`` must descend
   from :func:`repro.util.rng.rng_stream` (tracked through import aliasing,
-  which the per-file DET001 cannot follow), and a single ``Generator``
+  which the single-file DET001 cannot follow), and a single ``Generator``
   object must not flow into a parallel fan-out (``initargs``/``partial``):
   draw order would depend on scheduling.
 * **TEL001 — telemetry schema drift.**  The literal field set of every
@@ -28,37 +28,38 @@ spans modules:
   family the CLI already handles), so users get clean error exits instead
   of tracebacks.
 
-A rule is a function ``(ctx) -> iterator of RawXFinding``; the xmod engine
-attaches severities, applies the per-line suppressions of the per-file
-engine, then the baseline.
+They register into the one :data:`~repro.lint.rules.RULES` registry like
+the single-file rules; the engine attaches severities and applies the
+per-line suppressions, the CLI then the baseline.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.lint.config import LintConfig
+from repro.lint.rules import RawFinding, register
 from repro.lint.xmod.callgraph import (
     CallGraph,
     FunctionUnit,
+    build_call_graph,
     iter_own_nodes,
     resolve_callable,
 )
 from repro.lint.xmod.dataflow import (
+    SubmissionSite,
     assignment_origins,
-    initializer_sites,
+    initargs_of,
     module_mutable_globals,
     nonlocal_mutations,
     submission_sites,
     value_atoms,
 )
 from repro.lint.xmod.symbols import Project
-
-#: (path, line, column, message)
-RawXFinding = tuple[str, int, int, str]
 
 #: the RNG chokepoint every Generator must descend from.
 RNG_STREAM_QUALNAME = "repro.util.rng.rng_stream"
@@ -71,6 +72,16 @@ RAW_RNG_QUALNAMES = frozenset({
     "numpy.random.SeedSequence",
     "numpy.random.seed",
 })
+
+#: ERR001 traces from every top-level function of this module whose name
+#: starts with this prefix: the CLI command handlers.
+ERR001_ENTRYPOINT = ("repro.cli", "cmd_")
+
+#: the taxonomy base every CLI-reachable raise must derive from.
+ERR001_BASE = "repro.errors.ReproError"
+
+#: module whose EVENT_SCHEMAS/COMMON_FIELDS TEL001 checks against.
+EVENTS_MODULE = "repro.telemetry.events"
 
 #: raises that are *not* ReproError but are already handled cleanly by the
 #: CLI boundary (argparse exits, OS errors, interpreter control flow).
@@ -87,53 +98,54 @@ ERR001_EXEMPT = frozenset({
 
 
 @dataclass
-class XmodContext:
-    """Everything a cross-module rule may consult, built once per run."""
+class RuleContext:
+    """Everything a rule may consult, built once per lint pass; the
+    cross-module facts are computed on first use and then shared."""
 
     project: Project
-    graph: CallGraph
     config: LintConfig
-    #: lazily shared caches
-    _sites: list | None = field(default=None, repr=False)
-    _worker_roots: set[str] | None = field(default=None, repr=False)
 
-    # -- shared site discovery ----------------------------------------------
+    @cached_property
+    def graph(self) -> CallGraph:
+        """The call graph (never built when only single-file rules run)."""
+        return build_call_graph(self.project)
 
-    def all_submission_sites(self) -> list:
-        if self._sites is None:
-            self._sites = [
-                site
-                for unit in self.graph.units.values()
-                for site in submission_sites(
-                    unit, self.config.xmod_submit_methods
-                )
-            ]
-        return self._sites
+    @cached_property
+    def all_submission_sites(self) -> list[SubmissionSite]:
+        return [
+            site
+            for unit in self.graph.units.values()
+            for site in submission_sites(unit)
+        ]
 
+    @cached_property
     def worker_roots(self) -> set[str]:
         """Unit ids of every resolvable worker-mapped callable."""
-        if self._worker_roots is None:
-            roots: set[str] = set()
-            for site in self.all_submission_sites():
-                for unit_id in self._resolve_site_callables(site):
-                    roots.add(unit_id)
-            self._worker_roots = roots
-        return self._worker_roots
+        return {
+            unit_id
+            for site in self.all_submission_sites
+            for _, unit_ids in self.site_callables(site)
+            for unit_id in unit_ids
+        }
 
-    def _resolve_site_callables(self, site) -> list[str]:
-        """Unit ids the callable slot of a submission site may denote,
-        chasing one level of local assignment (``fn = a if c else b``)."""
-        if site.fn_expr is None or site.unit is None:
+    def site_callables(
+        self, site: SubmissionSite
+    ) -> list[tuple[ast.expr, list[str]]]:
+        """Each expression the callable slot of a submission site may
+        denote (chasing local assignments, ``fn = a if c else b``), with
+        the unit ids it resolves to (empty when unknown)."""
+        if site.fn_expr is None:
             return []
-        out: list[str] = []
+        out = []
         for atom in self._callable_atoms(site.unit, site.fn_expr):
             resolved = resolve_callable(self.graph, site.unit, atom)
             if not resolved and isinstance(atom, ast.Name):
-                # nested def of the submitting unit itself
+                # a function-local name the symbol table cannot see: it may
+                # still be a nested def of the submitting unit itself
                 local_id = f"{site.unit.unit_id}.<locals>.{atom.id}"
                 if local_id in self.graph.units:
                     resolved = [local_id]
-            out.extend(resolved)
+            out.append((atom, resolved))
         return out
 
     def _callable_atoms(
@@ -161,38 +173,10 @@ class XmodContext:
         return atoms
 
 
-@dataclass(frozen=True)
-class XmodRule:
-    """One registered cross-module rule."""
-
-    id: str
-    title: str
-    default_severity: str
-    rationale: str
-    check: Callable[[XmodContext], Iterator[RawXFinding]]
-
-
-XMOD_RULES: dict[str, XmodRule] = {}
-
-
-def _register(
-    rule_id: str, title: str, severity: str, rationale: str
-) -> Callable:
-    def wrap(fn: Callable) -> Callable:
-        XMOD_RULES[rule_id] = XmodRule(rule_id, title, severity, rationale, fn)
-        return fn
-
-    return wrap
-
-
-def _unit_path(ctx: XmodContext, unit: FunctionUnit) -> str:
-    return ctx.project.modules[unit.module].path
-
-
 # -- PAR001 ------------------------------------------------------------------
 
 
-@_register(
+@register(
     "PAR001",
     "non-module-level callable submitted to a process fan-out",
     "error",
@@ -200,30 +184,18 @@ def _unit_path(ctx: XmodContext, unit: FunctionUnit) -> str:
     "module-level functions: lambdas and nested defs capture state that "
     "fails to pickle or silently diverges between serial and parallel runs",
 )
-def _par001(ctx: XmodContext) -> Iterator[RawXFinding]:
-    for site in ctx.all_submission_sites():
-        unit = site.unit
-        path = _unit_path(ctx, unit)
-        for atom in ctx._callable_atoms(unit, site.fn_expr or site.call.func):
-            if site.fn_expr is None:
-                break
+def _par001(ctx: RuleContext) -> Iterator[RawFinding]:
+    for site in ctx.all_submission_sites:
+        path = ctx.project.modules[site.unit.module].path
+        # call results etc. resolve to no unit: unknown, stay silent
+        for atom, unit_ids in ctx.site_callables(site):
             if isinstance(atom, ast.Lambda):
                 yield (
                     path, atom.lineno, atom.col_offset,
                     f"lambda submitted to {site.method}(): workers need a "
                     "picklable module-level function",
                 )
-                continue
-            if not isinstance(atom, (ast.Name, ast.Attribute)):
-                continue  # call results etc.: unknown, stay silent
-            resolved = resolve_callable(ctx.graph, unit, atom)
-            if not resolved and isinstance(atom, ast.Name):
-                # a function-local name the symbol table cannot see: it may
-                # still be a nested def of this very unit
-                local_id = f"{unit.unit_id}.<locals>.{atom.id}"
-                if local_id in ctx.graph.units:
-                    resolved = [local_id]
-            for unit_id in resolved:
+            for unit_id in unit_ids:
                 callee = ctx.graph.units[unit_id]
                 if callee.parent is not None:
                     yield (
@@ -238,7 +210,7 @@ def _par001(ctx: XmodContext) -> Iterator[RawXFinding]:
 # -- PAR002 ------------------------------------------------------------------
 
 
-@_register(
+@register(
     "PAR002",
     "module-level mutable global written on a worker-reachable path",
     "error",
@@ -247,8 +219,8 @@ def _par001(ctx: XmodContext) -> Iterator[RawXFinding]:
     "mutates its own copy in scheduling order, so state diverges from the "
     "serial run",
 )
-def _par002(ctx: XmodContext) -> Iterator[RawXFinding]:
-    reachable = ctx.graph.reachable(ctx.worker_roots())
+def _par002(ctx: RuleContext) -> Iterator[RawFinding]:
+    reachable = ctx.graph.reachable(ctx.worker_roots)
     for unit_id in sorted(reachable):
         unit = ctx.graph.units[unit_id]
         info = ctx.project.modules[unit.module]
@@ -269,7 +241,7 @@ def _par002(ctx: XmodContext) -> Iterator[RawXFinding]:
 
 
 def _generator_locals(
-    ctx: XmodContext, unit: FunctionUnit
+    ctx: RuleContext, unit: FunctionUnit
 ) -> dict[str, ast.expr]:
     """Local names bound to an rng_stream() Generator in this unit."""
     out: dict[str, ast.expr] = {}
@@ -288,7 +260,7 @@ def _generator_locals(
     return out
 
 
-@_register(
+@register(
     "DET003",
     "numpy Generator without rng_stream provenance (or shared across a fan-out)",
     "error",
@@ -296,8 +268,8 @@ def _generator_locals(
     "(keyed, replayable) and derived per work item: one Generator object "
     "flowing into a parallel fan-out draws in scheduling order",
 )
-def _det003(ctx: XmodContext) -> Iterator[RawXFinding]:
-    allow = ctx.config.det003_allow
+def _det003(ctx: RuleContext) -> Iterator[RawFinding]:
+    allow = ctx.config.det001_allow
     # (a) raw generator construction, resolved through import aliases
     for module_name, info in ctx.project.modules.items():
         if any(fragment in info.path for fragment in allow):
@@ -327,7 +299,7 @@ def _det003(ctx: XmodContext) -> Iterator[RawXFinding]:
                 if isinstance(node, ast.Name) and node.id in rng_locals:
                     yield node
 
-        for site in submission_sites(unit, ctx.config.xmod_submit_methods):
+        for site in submission_sites(unit):
             for arg in [*site.call.args, *[k.value for k in site.call.keywords]]:
                 for hit in name_hits(arg):
                     yield (
@@ -338,8 +310,8 @@ def _det003(ctx: XmodContext) -> Iterator[RawXFinding]:
                         "derive a per-item stream with rng_stream(seed, key) "
                         "inside the worker",
                     )
-        for init_site in initializer_sites(unit):
-            for hit in name_hits(init_site.initargs):
+        for initargs in initargs_of(unit):
+            for hit in name_hits(initargs):
                 yield (
                     info.path, hit.lineno, hit.col_offset,
                     f"Generator {hit.id!r} shipped via initargs: every "
@@ -413,7 +385,7 @@ def extract_event_schemas(
     return schemas, common
 
 
-@_register(
+@register(
     "TEL001",
     "telemetry emission drifts from the declared event schema",
     "error",
@@ -422,10 +394,8 @@ def extract_event_schemas(
     "runtime when that emitting path happens to execute — CI should not "
     "have to wait for it",
 )
-def _tel001(ctx: XmodContext) -> Iterator[RawXFinding]:
-    extracted = extract_event_schemas(
-        ctx.project, ctx.config.tel001_events_module
-    )
+def _tel001(ctx: RuleContext) -> Iterator[RawFinding]:
+    extracted = extract_event_schemas(ctx.project, EVENTS_MODULE)
     if extracted is None:
         return
     schemas, common = extracted
@@ -446,7 +416,7 @@ def _tel001(ctx: XmodContext) -> Iterator[RawXFinding]:
                 yield (
                     info.path, node.lineno, node.col_offset,
                     f"emit of unknown event type {etype!r}: not declared "
-                    f"in {ctx.config.tel001_events_module}.EVENT_SCHEMAS",
+                    f"in {EVENTS_MODULE}.EVENT_SCHEMAS",
                 )
                 continue
             has_splat = any(k.arg is None for k in node.keywords)
@@ -476,23 +446,20 @@ def _is_builtin_exception(name: str) -> bool:
     return isinstance(obj, type) and issubclass(obj, BaseException)
 
 
-def _entrypoint_units(ctx: XmodContext) -> set[str]:
-    """Unit ids matching the configured ``module:prefix`` entry points."""
-    roots: set[str] = set()
-    for spec in ctx.config.err001_entrypoints:
-        module, _, prefix = spec.partition(":")
-        info = ctx.project.modules.get(module)
-        if info is None:
-            continue
-        for unit_id, unit in ctx.graph.units.items():
-            if unit.module == module and unit.parent is None and (
-                unit.owner_class is None
-            ) and unit.node.name.startswith(prefix):
-                roots.add(unit_id)
-    return roots
+def _entrypoint_units(ctx: RuleContext) -> set[str]:
+    """Unit ids of the CLI command handlers (:data:`ERR001_ENTRYPOINT`)."""
+    module, prefix = ERR001_ENTRYPOINT
+    return {
+        unit_id
+        for unit_id, unit in ctx.graph.units.items()
+        if unit.module == module
+        and unit.parent is None
+        and unit.owner_class is None
+        and unit.node.name.startswith(prefix)
+    }
 
 
-@_register(
+@register(
     "ERR001",
     "CLI-reachable raise outside the ReproError taxonomy",
     "error",
@@ -501,8 +468,8 @@ def _entrypoint_units(ctx: XmodContext) -> set[str]:
     "CLI boundary already catches), not a bare ValueError/RuntimeError "
     "that dumps a traceback at the user",
 )
-def _err001(ctx: XmodContext) -> Iterator[RawXFinding]:
-    base = ctx.config.err001_base
+def _err001(ctx: RuleContext) -> Iterator[RawFinding]:
+    base = ERR001_BASE
     reachable = ctx.graph.reachable(_entrypoint_units(ctx))
     for unit_id in sorted(reachable):
         unit = ctx.graph.units[unit_id]
@@ -563,13 +530,13 @@ def _err001(ctx: XmodContext) -> Iterator[RawXFinding]:
 
 
 __all__ = [
+    "ERR001_BASE",
+    "ERR001_ENTRYPOINT",
     "ERR001_EXEMPT",
+    "EVENTS_MODULE",
     "EventSchema",
     "RAW_RNG_QUALNAMES",
     "RNG_STREAM_QUALNAME",
-    "RawXFinding",
-    "XMOD_RULES",
-    "XmodContext",
-    "XmodRule",
+    "RuleContext",
     "extract_event_schemas",
 ]

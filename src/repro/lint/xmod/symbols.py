@@ -1,12 +1,13 @@
 """Whole-program symbol table: modules, top-level bindings, import edges.
 
-The per-file engine (:mod:`repro.lint.engine`) sees one AST at a time; the
-cross-module rules need to answer questions like *"what does the name
-``mk`` in this module actually denote?"* when ``mk`` arrived via
-``from numpy.random import default_rng as mk``.  This module parses the
-whole analyzed tree **once** and builds:
+Every lint rule runs over one :class:`Project`.  Single-file rules only
+need each module's AST; the cross-module rules also need to answer
+questions like *"what does the name ``mk`` in this module actually
+denote?"* when ``mk`` arrived via ``from numpy.random import default_rng
+as mk``.  This module reads, parses and tokenizes the whole analyzed tree
+**once** and builds:
 
-* a module table (dotted module name -> parsed source + AST + suppressions);
+* a module table (module name -> parsed source + AST + suppressions);
 * per-module top-level bindings: function/class definitions, assignments,
   and import aliases;
 * a resolver that follows import chains (bounded, cycle-safe) until a name
@@ -22,14 +23,42 @@ unsoundness (see DESIGN.md section 14).
 from __future__ import annotations
 
 import ast
+import io
+import re
+import tokenize
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from repro.lint.engine import collect_suppressions
 
 #: resolver recursion bound: import chains deeper than this (or cyclic
 #: re-exports) resolve to None instead of recursing forever.
 MAX_RESOLVE_DEPTH = 16
+
+_SUPPRESS_RE = re.compile(
+    r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+|all)\s*$"
+)
+
+
+def collect_suppressions(source: str) -> dict[int, set[str]]:
+    """Map line number -> rule ids disabled on that line (``{'all'}`` for a
+    blanket line suppression)."""
+    suppressions: dict[int, set[str]] = {}
+    try:
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        for token in tokens:
+            if token.type != tokenize.COMMENT:
+                continue
+            match = _SUPPRESS_RE.search(token.string)
+            if match is None:
+                continue
+            ids = {part.strip() for part in match.group(1).split(",")}
+            suppressions.setdefault(token.start[0], set()).update(
+                i for i in ids if i
+            )
+    except tokenize.TokenError:
+        # Unterminated constructs: the ast parse will report the real error.
+        pass
+    return suppressions
 
 
 def module_name_for(path: Path) -> str:
@@ -52,9 +81,9 @@ def module_name_for(path: Path) -> str:
 class ModuleInfo:
     """One parsed module of the analyzed tree."""
 
+    #: dotted module name; unique within the project (see Project.add).
     name: str
     path: str  #: posix path, exactly as discovered (finding locations)
-    source: str
     tree: ast.Module
     #: line -> rule ids disabled on that line (engine suppression format).
     suppressions: dict[int, set[str]] = field(default_factory=dict)
@@ -66,9 +95,6 @@ class ModuleInfo:
     #: binds ``np -> numpy``; ``from repro.util.rng import rng_stream``
     #: binds ``rng_stream -> repro.util.rng.rng_stream``.
     imports: dict[str, str] = field(default_factory=dict)
-
-    def top_level_names(self) -> set[str]:
-        return set(self.defs) | set(self.assigns) | set(self.imports)
 
 
 @dataclass(frozen=True)
@@ -128,35 +154,50 @@ def _index_module(info: ModuleInfo) -> None:
 
 
 class Project:
-    """The parsed whole-program view the cross-module rules run against."""
+    """The parsed whole-program view every lint rule runs against."""
 
     def __init__(self) -> None:
+        #: module name -> module, in discovery order.
         self.modules: dict[str, ModuleInfo] = {}
-        self.parse_failures: list[tuple[str, str]] = []  #: (path, message)
+        #: (path, line, column, message) of every file that does not parse.
+        self.parse_failures: list[tuple[str, int, int, str]] = []
 
     @classmethod
     def load(cls, files: list[Path]) -> "Project":
-        """Parse every file once and index its top-level bindings."""
+        """Read, parse and tokenize every file once."""
         project = cls()
         for path in files:
-            source = path.read_text(encoding="utf-8")
-            try:
-                tree = ast.parse(source, filename=path.as_posix())
-            except SyntaxError as exc:
-                project.parse_failures.append(
-                    (path.as_posix(), exc.msg or "syntax error")
-                )
-                continue
-            info = ModuleInfo(
-                name=module_name_for(path),
-                path=path.as_posix(),
-                source=source,
-                tree=tree,
-                suppressions=collect_suppressions(source),
-            )
-            _index_module(info)
-            project.modules[info.name] = info
+            project.add(path, path.read_text(encoding="utf-8"))
         return project
+
+    def add(self, path: Path, source: str) -> None:
+        """Parse one source blob into the project (or record its failure).
+
+        Two files outside any package can share a dotted name (``a/run.py``
+        and ``b/run.py`` are both ``run``).  The first keeps the name; a
+        later one is keyed by its posix path, so it is still checked, while
+        imports of ``run`` resolve to the first.
+        """
+        posix = path.as_posix()
+        try:
+            tree = ast.parse(source, filename=posix)
+        except SyntaxError as exc:
+            self.parse_failures.append((
+                posix, exc.lineno or 1, (exc.offset or 1) - 1,
+                exc.msg or "syntax error",
+            ))
+            return
+        name = module_name_for(path)
+        if name in self.modules:
+            name = posix
+        info = ModuleInfo(
+            name=name,
+            path=posix,
+            tree=tree,
+            suppressions=collect_suppressions(source),
+        )
+        _index_module(info)
+        self.modules[name] = info
 
     # -- resolution ----------------------------------------------------------
 
@@ -235,10 +276,11 @@ class Project:
                 )
         return None
 
-    def class_mro_member(
-        self, module: str, cls: ast.ClassDef, name: str
-    ) -> Resolved | None:
-        """Look ``name`` up on ``cls`` and then its in-tree base classes."""
+    def _class_chain(
+        self, module: str, cls: ast.ClassDef
+    ) -> Iterator[tuple[str, ast.ClassDef, list[Resolved]]]:
+        """``(module, ClassDef, resolved bases)`` for ``cls`` and then its
+        in-tree base classes, breadth first, each class once."""
         seen: set[str] = set()
         queue: list[tuple[str, ast.ClassDef]] = [(module, cls)]
         while queue:
@@ -247,20 +289,30 @@ class Project:
             if key in seen:
                 continue
             seen.add(key)
+            bases = [
+                resolved
+                for resolved in (self.resolve_expr(mod, b) for b in node.bases)
+                if resolved is not None
+            ]
+            yield mod, node, bases
+            queue.extend(
+                (base.module, base.node)
+                for base in bases
+                if base.kind == "class"
+                and isinstance(base.node, ast.ClassDef)
+                and base.module is not None
+            )
+
+    def class_mro_member(
+        self, module: str, cls: ast.ClassDef, name: str
+    ) -> Resolved | None:
+        """Look ``name`` up on ``cls`` and then its in-tree base classes."""
+        for mod, node, _ in self._class_chain(module, cls):
             member = _class_member(node, name)
             if member is not None:
                 return Resolved(
-                    f"{key}.{name}", "function", mod, member
+                    f"{mod}.{node.name}.{name}", "function", mod, member
                 )
-            for base in node.bases:
-                resolved = self.resolve_expr(mod, base)
-                if (
-                    resolved is not None
-                    and resolved.kind == "class"
-                    and isinstance(resolved.node, ast.ClassDef)
-                    and resolved.module is not None
-                ):
-                    queue.append((resolved.module, resolved.node))
         return None
 
     def is_subclass_of(
@@ -269,27 +321,11 @@ class Project:
         """Does ``cls`` (transitively, within the tree) derive from any of
         ``base_qualnames`` (full dotted names, e.g.
         ``repro.errors.ReproError``)?"""
-        seen: set[str] = set()
-        queue: list[tuple[str, ast.ClassDef]] = [(module, cls)]
-        while queue:
-            mod, node = queue.pop(0)
-            key = f"{mod}.{node.name}"
-            if key in seen:
-                continue
-            seen.add(key)
-            if key in base_qualnames:
-                return True
-            for base in node.bases:
-                resolved = self.resolve_expr(mod, base)
-                if resolved is None:
-                    continue
-                if resolved.qualname in base_qualnames:
-                    return True
-                if resolved.kind == "class" and isinstance(
-                    resolved.node, ast.ClassDef
-                ) and resolved.module is not None:
-                    queue.append((resolved.module, resolved.node))
-        return False
+        return any(
+            f"{mod}.{node.name}" in base_qualnames
+            or any(base.qualname in base_qualnames for base in bases)
+            for mod, node, bases in self._class_chain(module, cls)
+        )
 
 
 def _dotted_of(expr: ast.expr) -> str | None:
@@ -319,6 +355,7 @@ def _class_member(
 
 __all__ = [
     "MAX_RESOLVE_DEPTH",
+    "collect_suppressions",
     "ModuleInfo",
     "Project",
     "Resolved",

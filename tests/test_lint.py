@@ -2,6 +2,7 @@
 configuration, reporters, CLI exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +261,14 @@ class TestConfig:
         with pytest.raises(LintConfigError):
             config_from_mapping({"sevrity": {}})
 
+    def test_unknown_rule_key_rejected(self):
+        # a typo'd scoping key must not silently leave the rule unscoped
+        with pytest.raises(LintConfigError, match="det002-path"):
+            config_from_mapping({"rules": {"det002-path": ["repro/sim/"]}})
+        # keys that became constants are unknown now, not ignored
+        with pytest.raises(LintConfigError, match="err001-base"):
+            config_from_mapping({"rules": {"err001-base": "x.Error"}})
+
     def test_bad_severity_value_rejected(self):
         with pytest.raises(LintConfigError):
             config_from_mapping({"severity": {"FP001": "warning"}})
@@ -380,6 +389,48 @@ class TestCli:
         assert main(["lint", "--list-rules"]) == 0
         assert "DET001" in capsys.readouterr().out
 
-    def test_repository_is_clean(self):
-        result = lint_paths(["src", "benchmarks", "examples"], load_config())
-        assert result.exit_code == 0, render_text(result)
+    def test_repository_is_clean(self, capsys):
+        # the full pass, every rule, against the committed baseline
+        from repro.cli import main
+
+        code = main(["lint", "src", "benchmarks", "examples"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.out
+        assert "stale baseline entry" not in captured.err, captured.err
+        assert "0 error(s)" in captured.out
+
+    def test_same_named_scripts_are_both_checked(self, tmp_path):
+        # two files outside any package share the dotted name ``run``
+        for folder in ("a", "b"):
+            script = tmp_path / folder / "run.py"
+            script.parent.mkdir()
+            script.write_text(
+                "import numpy as np\nr = np.random.default_rng()\n"
+            )
+        result = lint_paths(
+            [str(tmp_path / "a"), str(tmp_path / "b")], CFG
+        )
+        assert result.files_checked == 2
+        flagged = {
+            (f.path.split("/")[-2], f.rule) for f in result.findings
+        }
+        assert flagged == {
+            ("a", "DET001"), ("a", "DET003"),
+            ("b", "DET001"), ("b", "DET003"),
+        }
+
+    def test_narrow_run_keeps_out_of_scope_baseline_entries(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        committed = json.loads(Path("lint-baseline.json").read_text())
+        baseline = tmp_path / "lint-baseline.json"
+        baseline.write_text(json.dumps(committed))
+        # no committed entry is for a file under src/repro/sim: none is
+        # stale there, and rewriting from that run drops none of them
+        args = ["lint", "src/repro/sim", "--baseline", str(baseline)]
+        assert main(args) == 0
+        assert "stale baseline entry" not in capsys.readouterr().err
+        assert main([*args, "--update-baseline"]) == 0
+        assert json.loads(baseline.read_text()) == committed

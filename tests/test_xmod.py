@@ -1,7 +1,8 @@
-"""Tests of the whole-program analyzer (``repro lint --xmod``).
+"""Tests of the whole-program half of ``repro lint``: symbols, call graph,
+the cross-module rules, SARIF and the baseline ratchet.
 
 Synthetic fixture trees are written under ``tmp_path`` mimicking the
-package layout the default config expects (``repro/cli.py`` entry points,
+package layout the rules anchor on (``repro/cli.py`` entry points,
 ``repro/errors.py`` taxonomy, ``repro/telemetry/events.py`` schemas), so
 every cross-module rule can be exercised positive and suppressed-negative
 without touching the real tree.
@@ -15,22 +16,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.config import LintConfig
-from repro.lint.engine import iter_python_files
-from repro.lint.findings import Finding, LintResult
-from repro.lint.sarif import render_sarif, to_sarif
-from repro.lint.xmod import analyze_files
-from repro.lint.xmod.baseline import (
+from repro.lint.baseline import (
     apply_baseline,
     load_baseline,
     write_baseline,
 )
-from repro.lint.xmod.cache import load_cached, store, tree_key
+from repro.lint.config import LintConfig
+from repro.lint.engine import iter_python_files, lint_paths
+from repro.lint.findings import Finding, LintResult
+from repro.lint.sarif import render_sarif, to_sarif
 from repro.lint.xmod.callgraph import build_call_graph
-from repro.lint.xmod.engine import XMOD_ANALYZER_VERSION
 from repro.lint.xmod.symbols import Project, module_name_for
 
 GOLDEN = Path(__file__).parent / "data" / "sarif_golden.json"
+
+#: the cross-module rules only: the DET003 fixtures' raw generators would
+#: also trip the single-file DET001 (tested in test_lint.py)
+CROSS_MODULE = LintConfig(
+    select=("PAR001", "PAR002", "DET003", "TEL001", "ERR001")
+)
 
 
 def write_tree(root: Path, files: dict[str, str]) -> list[Path]:
@@ -54,7 +58,8 @@ def rules_of(result: LintResult) -> list[str]:
 
 
 def analyze(root: Path, files: dict[str, str]) -> LintResult:
-    return analyze_files(write_tree(root, files), LintConfig())
+    write_tree(root, files)
+    return lint_paths([str(root)], CROSS_MODULE)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +219,7 @@ class TestPar001:
             "pkg/__init__.py": "",
             "pkg/run.py": (
                 "def run(ex, items):\n"
-                "    return ex.map_ordered(lambda x: x, items)\n"
+                "    return ex.map_supervised(lambda x: x, items)\n"
             ),
         })
         assert rules_of(result) == ["PAR001"]
@@ -226,7 +231,7 @@ class TestPar001:
                 "def run(ex, items):\n"
                 "    def inner(x):\n"
                 "        return x\n"
-                "    return ex.map_ordered(inner, items)\n"
+                "    return ex.map_supervised(inner, items)\n"
             ),
         })
         assert rules_of(result) == ["PAR001"]
@@ -238,7 +243,7 @@ class TestPar001:
                 "def work(x):\n"
                 "    return x\n\n"
                 "def run(ex, items):\n"
-                "    return ex.map_ordered(work, items)\n"
+                "    return ex.map_supervised(work, items)\n"
             ),
         })
         assert rules_of(result) == []
@@ -248,7 +253,7 @@ class TestPar001:
             "pkg/__init__.py": "",
             "pkg/run.py": (
                 "def run(ex, items):\n"
-                "    return ex.map_ordered(lambda x: x, items)"
+                "    return ex.map_supervised(lambda x: x, items)"
                 "  # repro-lint: disable=PAR001\n"
             ),
         })
@@ -266,7 +271,7 @@ class TestPar002:
             "    helper(item)\n"
             "    return item\n\n"
             "def run(ex, items):\n"
-            "    return ex.map_ordered(worker, items)\n"
+            "    return ex.map_supervised(worker, items)\n"
         ),
     }
 
@@ -285,7 +290,7 @@ class TestPar002:
                 "def worker(item):\n"
                 "    return item\n\n"
                 "def run(ex, items):\n"
-                "    return ex.map_ordered(worker, items)\n"
+                "    return ex.map_supervised(worker, items)\n"
             ),
         })
         assert rules_of(result) == []
@@ -338,7 +343,7 @@ class TestDet003:
                 "from repro.util.rng import rng_stream\n\n"
                 "def sweep(ex, items, seed):\n"
                 "    rng = rng_stream(seed)\n"
-                "    return ex.map_ordered(work, items, rng)\n\n"
+                "    return ex.map_supervised(work, items, rng)\n\n"
                 "def work(item):\n"
                 "    return item\n"
             ),
@@ -477,7 +482,7 @@ class TestErr001:
             "    raise ValueError('bad')\n"
         )
         files["repro/cli.py"] = "def cmd_run(args):\n    return 0\n"
-        result = analyze_files(write_tree(tmp_path, files), LintConfig())
+        result = analyze(tmp_path, files)
         assert rules_of(result) == []
 
     def test_suppressed_negative(self, tmp_path):
@@ -566,7 +571,8 @@ class TestBaseline:
 
     def test_old_finding_is_demoted_new_finding_fails(self, tmp_path):
         entries = load_baseline(self.baseline(tmp_path))
-        outcome = apply_baseline([self.OLD, self.NEW], entries)
+        analyzed = ["src/a.py", "src/b.py"]
+        outcome = apply_baseline([self.OLD, self.NEW], entries, analyzed)
         assert [f.rule for f in outcome.new] == ["PAR002"]
         assert [f.severity for f in outcome.baselined] == ["advice"]
         assert outcome.baselined[0].message.startswith("[baselined:")
@@ -577,15 +583,21 @@ class TestBaseline:
             files_checked=1,
         )
         assert gate.exit_code == 1
-        clean = apply_baseline([self.OLD], entries)
+        clean = apply_baseline([self.OLD], entries, analyzed)
         assert LintResult(
             findings=tuple([*clean.new, *clean.baselined]), files_checked=1
         ).exit_code == 0
 
     def test_stale_entries_are_reported(self, tmp_path):
         entries = load_baseline(self.baseline(tmp_path))
-        outcome = apply_baseline([], entries)
+        outcome = apply_baseline([], entries, ["src/a.py"])
         assert [e.rule for e in outcome.stale] == ["ERR001"]
+
+    def test_entries_outside_the_run_are_not_stale(self, tmp_path):
+        entries = load_baseline(self.baseline(tmp_path))
+        outcome = apply_baseline([self.NEW], entries, ["src/b.py"])
+        assert outcome.stale == ()
+        assert [f.rule for f in outcome.new] == ["PAR002"]
 
     def test_empty_reason_is_rejected(self, tmp_path):
         path = tmp_path / "lint-baseline.json"
@@ -606,47 +618,19 @@ class TestBaseline:
         assert reasons["ERR001"] == "adopted with debt; tracked in the ratchet"
         assert reasons["PAR002"].startswith("TODO")
 
-
-# ---------------------------------------------------------------------------
-# findings cache
-
-
-class TestCache:
-    FILES = {
-        "pkg/__init__.py": "",
-        "pkg/mod.py": "def f():\n    return 1\n",
-    }
-
-    def test_roundtrip_and_content_invalidation(self, tmp_path):
-        files = write_tree(tmp_path, self.FILES)
-        config = LintConfig()
-        cache_path = tmp_path / "cache.json"
-        key = tree_key(files, config, XMOD_ANALYZER_VERSION)
-        assert load_cached(cache_path, key) is None
-        result = analyze_files(files, config)
-        store(cache_path, key, result)
-        hit = load_cached(cache_path, key)
-        assert hit is not None
-        assert hit.findings == result.findings
-        assert hit.files_checked == result.files_checked
-        # editing any file changes the key -> miss
-        files[-1].write_text("def f():\n    return 2\n")
-        assert tree_key(files, config, XMOD_ANALYZER_VERSION) != key
-
-    def test_config_fingerprint_invalidates(self, tmp_path):
-        files = write_tree(tmp_path, self.FILES)
-        key_a = tree_key(files, LintConfig(), XMOD_ANALYZER_VERSION)
-        key_b = tree_key(
-            files, LintConfig(ignore=("PAR001",)), XMOD_ANALYZER_VERSION
-        )
-        assert key_a != key_b
-
-    def test_corrupt_cache_is_a_miss(self, tmp_path):
-        files = write_tree(tmp_path, self.FILES)
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{ not json")
-        key = tree_key(files, LintConfig(), XMOD_ANALYZER_VERSION)
-        assert load_cached(cache_path, key) is None
+    def test_update_keeps_entries_outside_the_run(self, tmp_path):
+        path = self.baseline(tmp_path)
+        previous = load_baseline(path)
+        # a run over src/b.py alone neither saw nor fixed src/a.py's debt
+        write_baseline([self.NEW], path, previous, ["src/b.py"])
+        entries = load_baseline(path)
+        assert [(e.rule, e.path) for e in entries] == [
+            ("ERR001", "src/a.py"), ("PAR002", "src/b.py"),
+        ]
+        assert entries[0].reason == previous[0].reason
+        # a run that analysed src/a.py and found it clean drops its entry
+        write_baseline([self.NEW], path, entries, ["src/a.py", "src/b.py"])
+        assert [e.path for e in load_baseline(path)] == ["src/b.py"]
 
 
 # ---------------------------------------------------------------------------
