@@ -632,13 +632,15 @@ def cmd_lint(args: argparse.Namespace) -> int:
         target = baseline_path or Path(DEFAULT_BASELINE_NAME)
         previous = load_baseline(target) if target.is_file() else []
         count = write_baseline(
-            list(result.findings), target, previous, result.paths
+            list(result.findings), target, previous, result.paths,
+            target.parent,
         )
         print(f"baseline: wrote {count} entr(y/ies) to {target}")
         return 0
     if baseline_path is not None:
         outcome = apply_baseline(
-            list(result.findings), load_baseline(baseline_path), result.paths
+            list(result.findings), load_baseline(baseline_path), result.paths,
+            baseline_path.parent,
         )
         for entry in outcome.stale:
             print(

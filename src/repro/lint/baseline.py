@@ -17,12 +17,16 @@ stale nor dropped.
 
 Entries match on ``(rule, path, message)`` — deliberately *not* on line
 numbers, which shift with every unrelated edit.  If a message changes the
-finding is new again, which is the conservative direction.
+finding is new again, which is the conservative direction.  Entry paths
+are relative to the baseline file's directory, and a run's paths (as
+typed: absolute, or relative to the cwd) are matched after re-expressing
+them relative to that directory, so the ratchet holds from any cwd.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,10 +49,6 @@ class BaselineEntry:
     path: str
     message: str
     reason: str
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.rule, self.path, self.message)
 
 
 @dataclass(frozen=True)
@@ -96,19 +96,37 @@ def load_baseline(path: Path) -> list[BaselineEntry]:
     return entries
 
 
+def _under(root: str, path: str) -> str:
+    """``path`` (absolute, or relative to the cwd) relative to ``root``."""
+    return Path(os.path.relpath(os.path.abspath(path), root)).as_posix()
+
+
+def _root(root: Path | None) -> str:
+    return os.path.abspath(root if root is not None else os.curdir)
+
+
+def _entry_key(base: str, entry: BaselineEntry) -> tuple[str, str, str]:
+    """``(rule, path, message)`` with the path normalised under ``base``."""
+    path = _under(base, os.path.join(base, entry.path))
+    return (entry.rule, path, entry.message)
+
+
 def apply_baseline(
     findings: list[Finding],
     entries: list[BaselineEntry],
     analyzed: Collection[str],
+    root: Path | None = None,
 ) -> BaselineOutcome:
     """Split findings into new vs baselined and spot stale entries (those
-    for an ``analyzed`` path that matched nothing)."""
-    by_key = {entry.key: entry for entry in entries}
+    for an ``analyzed`` path that matched nothing).  ``root`` is the
+    baseline file's directory (default: the cwd)."""
+    base = _root(root)
+    by_key = {_entry_key(base, entry): entry for entry in entries}
     matched: set[tuple[str, str, str]] = set()
     new: list[Finding] = []
     baselined: list[Finding] = []
     for finding in findings:
-        key = (finding.rule, finding.path, finding.message)
+        key = (finding.rule, _under(base, finding.path), finding.message)
         entry = by_key.get(key)
         if entry is None:
             new.append(finding)
@@ -124,11 +142,11 @@ def apply_baseline(
                 message=f"[baselined: {entry.reason}] {finding.message}",
             )
         )
-    scope = set(analyzed)
+    scope = {_under(base, path) for path in analyzed}
     stale = tuple(
         entry
-        for entry in entries
-        if entry.path in scope and entry.key not in matched
+        for key, entry in by_key.items()
+        if key[1] in scope and key not in matched
     )
     return BaselineOutcome(
         new=tuple(new), baselined=tuple(baselined), stale=stale
@@ -140,21 +158,23 @@ def write_baseline(
     path: Path,
     previous: list[BaselineEntry] | None = None,
     analyzed: Collection[str] = (),
+    root: Path | None = None,
 ) -> int:
     """Write a baseline covering ``findings``; reasons carry over from
     ``previous`` where the key matches, otherwise a fill-me-in marker is
     emitted (CI loading rejects empty reasons, not markers — review them).
     Entries of ``previous`` for files outside ``analyzed`` are kept as
-    they are.  Returns the number of entries written."""
-    scope = set(analyzed)
-    carried = {entry.key: entry.reason for entry in previous or []}
-    reasons = {
-        entry.key: entry.reason
-        for entry in previous or []
-        if entry.path not in scope
+    they are.  Paths are written relative to ``root``, the baseline
+    file's directory (default: the cwd).  Returns the number of entries
+    written."""
+    base = _root(root)
+    scope = {_under(base, p) for p in analyzed}
+    carried = {
+        _entry_key(base, entry): entry.reason for entry in previous or []
     }
+    reasons = {key: why for key, why in carried.items() if key[1] not in scope}
     for finding in sorted(findings):
-        key = (finding.rule, finding.path, finding.message)
+        key = (finding.rule, _under(base, finding.path), finding.message)
         reasons.setdefault(
             key, carried.get(key, "TODO: justify or fix before merging")
         )

@@ -111,7 +111,7 @@ def _loc(node: ast.AST) -> tuple[int, int]:
 _RNG_MODULES = ("random", "numpy.random")
 
 
-def _is_np_random(node: ast.expr) -> bool:
+def is_np_random(node: ast.expr) -> bool:
     """True for the expression ``np.random`` / ``numpy.random``."""
     return (
         isinstance(node, ast.Attribute)
@@ -158,7 +158,7 @@ def _det001(tree: ast.Module, ctx: FileContext) -> Iterator[LineFinding]:
                     f"import from {module!r}: draw from "
                     "repro.util.rng.rng_stream instead",
                 )
-        elif isinstance(node, ast.Attribute) and _is_np_random(node.value):
+        elif isinstance(node, ast.Attribute) and is_np_random(node.value):
             line, col = _loc(node)
             yield (
                 line, col,

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.lint.config import LintConfig
-from repro.lint.rules import RawFinding, register
+from repro.lint.rules import RawFinding, is_np_random, register
 from repro.lint.xmod.callgraph import (
     CallGraph,
     FunctionUnit,
@@ -270,12 +270,21 @@ def _generator_locals(
 )
 def _det003(ctx: RuleContext) -> Iterator[RawFinding]:
     allow = ctx.config.det001_allow
+    # a call spelled np.random.X(...) is DET001's whenever that rule runs:
+    # one finding (and one suppression) per line
+    det001_owns = ctx.config.rule_enabled("DET001")
     # (a) raw generator construction, resolved through import aliases
     for module_name, info in ctx.project.modules.items():
         if any(fragment in info.path for fragment in allow):
             continue
         for node in ast.walk(info.tree):
             if not isinstance(node, ast.Call):
+                continue
+            if (
+                det001_owns
+                and isinstance(node.func, ast.Attribute)
+                and is_np_random(node.func.value)
+            ):
                 continue
             resolved = ctx.project.resolve_expr(module_name, node.func)
             if resolved is not None and resolved.qualname in RAW_RNG_QUALNAMES:

@@ -2,10 +2,11 @@
 
 A fixed micro/meso benchmark ladder over the reproduction's hot paths:
 
-* ``msa_observe_many``      — batched MSA profiling of the 26-workload
-  suite's traces at K = 128 (the analytic experiments' inner loop);
+* ``msa_observe_many``      — MSA profiling of the 26-workload suite's
+  traces at K = 128 on the compiled stack walk (the analytic
+  experiments' inner loop);
 * ``msa_observe_reference`` — the per-access reference loop on the same
-  traces, so the batched entry carries its measured speedup;
+  traces, so the walk's entry carries its measured speedup;
 * ``trace_generation``      — synthetic trace synthesis throughput;
 * ``montecarlo_slice``      — a slice of the Fig. 7 sweep (profile reuse,
   partitioning algorithms, checkpoint-format serialisation);
@@ -53,7 +54,7 @@ FORMAT = "repro-bench"
 VERSION = 1
 
 #: workloads for the quick (CI smoke) profiling benchmarks — a reuse-heavy
-#: to streaming spread, so the batched kernel sees realistic window shapes.
+#: to streaming spread, so the stack walk sees realistic reuse depths.
 QUICK_WORKLOADS = ("bzip2", "swim", "mcf", "art", "crafty", "equake")
 
 

@@ -13,6 +13,9 @@ Cache Partitioning (MICRO 2006), which the paper cites as [15]:
 The lookahead over *blocks* of ways (not just one way at a time) is what
 lets the algorithm climb past plateaus in a miss curve (a workload whose
 curve only drops after +10 ways would never win single-way comparisons).
+Each core's best block is an O(1) lookup in its curve's lookahead table
+(:meth:`MissCurve.best_marginal_utility`), redone only when that core's
+answer can have changed.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ def unrestricted_partition(
 
     alloc = [min_ways] * n
     remaining = total_ways - sum(alloc)
+    # each core's last lookahead answer.  A core's room never grows, and
+    # the first maximum over 1..room stays the first maximum over any
+    # shorter prefix that still contains it, so an answer holds until its
+    # core is granted ways or its room falls below the answer's extra.
+    answers: list[tuple[float, int] | None] = [None] * n
     while remaining > 0:
         best_mu = -1.0
         best_core = -1
@@ -65,7 +73,11 @@ def unrestricted_partition(
             room = min(remaining, cap - alloc[core])
             if room <= 0:
                 continue
-            mu, extra = curve.best_marginal_utility(alloc[core], room)
+            answer = answers[core]
+            if answer is None or answer[1] > room:
+                answer = curve.best_marginal_utility(alloc[core], room)
+                answers[core] = answer
+            mu, extra = answer
             if mu > best_mu:
                 best_mu, best_core, best_extra = mu, core, extra
         if best_core < 0:
@@ -90,6 +102,7 @@ def unrestricted_partition(
             break
         alloc[best_core] += best_extra
         remaining -= best_extra
+        answers[best_core] = None
     if sum(alloc) != total_ways:
         raise PartitionInvariantError(
             f"lookahead allocation sums to {sum(alloc)} ways, machine has "

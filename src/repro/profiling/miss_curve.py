@@ -8,12 +8,15 @@ the economics concept the paper borrows from von Wieser:
 
 i.e. the per-way miss reduction of growing an allocation from ``c`` to
 ``c + n`` ways.  :class:`MissCurve` wraps the projected miss counts with
-vectorised marginal-utility queries so the partitioning loops stay cheap
-even inside the 1000-mix Monte Carlo harness.
+vectorised marginal-utility queries, and answers the lookahead's "best
+block of up to ``n`` extra ways" question from a table built once per
+curve, so the partitioning loops stay cheap even inside the 1000-mix Monte
+Carlo harness.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,10 +83,49 @@ class MissCurve:
 
     def best_marginal_utility(self, current: int, max_extra: int) -> tuple[float, int]:
         """The lookahead step: max marginal utility over 1..max_extra extra
-        ways and the (smallest) allocation achieving it."""
-        mu = self.marginal_utilities(current, max_extra)
-        best = int(np.argmax(mu))
-        return float(mu[best]), best + 1
+        ways and the (smallest) allocation achieving it.
+
+        Equal to ``np.argmax`` over :meth:`marginal_utilities`, looked up in
+        :attr:`_lookahead` and recomputed with the scan's own arithmetic.
+        """
+        if max_extra < 1:
+            raise ConfigError("max_extra must be positive")
+        base = self.misses_at(current)
+        k = self.max_ways
+        c = min(current, k)
+        table = self._lookahead
+        # past K extra ways every size is K, so only a curve that ends
+        # above its row's start (within the non-increase tolerance) can
+        # still gain there; those and NaN curves scan
+        if table is None or (max_extra > k and base < self.misses[k]):
+            mu = self.marginal_utilities(current, max_extra)
+            best = int(np.argmax(mu))
+            return float(mu[best]), best + 1
+        extra = int(table[c, min(max_extra, k) - 1])
+        return (base - float(self.misses[min(c + extra, k)])) / extra, extra
+
+    @functools.cached_property
+    def _lookahead(self) -> np.ndarray | None:
+        """``_lookahead[c, n-1]``: the smallest extra way count reaching the
+        maximum of ``marginal_utilities(c, n)``, for c = 0..K, n = 1..K.
+
+        Built once per curve from one vectorised pass with the scan's
+        arithmetic and a running (prefix) maximum along each row; stored as
+        uint8/uint16, ~16 KB at K = 128.  ``None`` when some marginal
+        utility is NaN (``np.argmax`` semantics then need the scan).
+        """
+        m = self.misses
+        k = self.max_ways
+        steps = np.arange(1, k + 1)
+        sizes = np.minimum(np.arange(k + 1)[:, None] + steps, k)
+        mu = (m[:, None] - m[sizes]) / steps.astype(np.float64)
+        running = np.maximum.accumulate(mu, axis=1)
+        if np.isnan(running[:, -1]).any():
+            return None
+        rises = np.ones(mu.shape, dtype=bool)
+        rises[:, 1:] = mu[:, 1:] > running[:, :-1]
+        first = np.maximum.accumulate(np.where(rises, steps, 0), axis=1)
+        return first.astype(np.uint8 if k < 256 else np.uint16)
 
     @staticmethod
     def from_histogram(

@@ -22,18 +22,13 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.profiling.batched import (
-    batch_eligible,
-    batched_depth_bins,
-    hash_fold_many,
-)
-from repro.profiling.msa import MSAProfiler
-from repro.util.bits import hash_fold, is_pow2
+from repro.profiling.msa import MSAProfiler, StackProfiler
+from repro.util.bits import hash_fold, hash_fold_many, is_pow2
 
 from repro.errors import ConfigError
 
 
-class SampledMSAProfiler:
+class SampledMSAProfiler(StackProfiler):
     """MSA histogram from sampled sets and hashed (partial) tags."""
 
     def __init__(
@@ -50,8 +45,9 @@ class SampledMSAProfiler:
             raise ConfigError("num_sets must be a power of two")
         if not is_pow2(set_sampling) or set_sampling > num_sets:
             raise ConfigError("set sampling must be a power of two <= num_sets")
-        if positions < 1:
-            raise ConfigError("need at least one stack position")
+        # stacks are dense by compressed sampled-set id
+        self.sampled_sets = num_sets // set_sampling
+        super().__init__(self.sampled_sets, positions)
         if partial_tag_bits < 1:
             raise ConfigError("partial tags need at least one bit")
         if not 0 <= sample_offset < set_sampling:
@@ -60,19 +56,12 @@ class SampledMSAProfiler:
             raise ConfigError("tag_mode must be 'truncate' or 'fold'")
         self.tag_mode = tag_mode
         self.num_sets = num_sets
-        self.positions = positions
         self.set_sampling = set_sampling
         self.partial_tag_bits = partial_tag_bits
         self.sample_offset = sample_offset
         self._set_mask = num_sets - 1
         self._sample_mask = set_sampling - 1
-        self.sampled_sets = num_sets // set_sampling
-        # dense stacks indexed by compressed sampled-set id
-        self._stacks: list[list[int]] = [[] for _ in range(self.sampled_sets)]
-        self._counters = np.zeros(positions + 1, dtype=np.float64)
         self.observed = 0  #: raw (unscaled) sampled references
-        #: mass ledger: sampled observations aged exactly like the counters.
-        self._mass = 0.0
 
     def set_index(self, line: int) -> int:
         return line & self._set_mask
@@ -103,7 +92,8 @@ class SampledMSAProfiler:
         self.observed += 1
         # dense index over the sampled sets (index % sampling == offset)
         sampled_id = self.set_index(line) // self.set_sampling
-        stack = self._stacks[sampled_id]
+        stacks = self._stacks if self._stacks is not None else self._lists()
+        stack = stacks[sampled_id]
         tag = self.partial_tag(line)
         try:
             depth = stack.index(tag) + 1
@@ -120,47 +110,29 @@ class SampledMSAProfiler:
 
     def observe_many(self, lines: Iterable[int]) -> None:
         """Observe many line numbers; see
-        :meth:`repro.profiling.msa.MSAProfiler.observe_many` for the batch
-        dispatch rules (bit-identical to the per-access reference)."""
-        if batch_eligible(lines):
-            self._observe_batch(lines)
-        else:
-            self.observe_many_reference(lines)
+        :meth:`repro.profiling.msa.MSAProfiler.observe_many` for when the
+        compiled walk runs (bit-identical to the per-access reference).
+        Set sampling and partial tags are applied here; the walk is per
+        sampled set, so equal tags of different sets never meet."""
+        lines_in = self._walk_input(lines)
+        if lines_in is not None:
+            sub = lines_in[(lines_in & self._sample_mask) == self.sample_offset]
+            groups = (sub & self._set_mask) // self.set_sampling
+            tags = sub >> (self.num_sets.bit_length() - 1)
+            if self.tag_mode == "truncate":
+                tags &= (1 << self.partial_tag_bits) - 1
+            else:
+                tags = hash_fold_many(tags, self.partial_tag_bits)
+            if self._walk(tags, groups):
+                self.observed += int(sub.size)
+                return
+        self.observe_many_reference(lines)
 
-    def observe_many_reference(self, lines: Iterable[int]) -> None:
-        """The checked per-access reference for :meth:`observe_many`."""
-        for line in lines:
-            self.observe(int(line))
-
-    def _observe_batch(self, lines: np.ndarray) -> None:
-        a = lines.astype(np.int64, copy=False)
-        sets = a & self._set_mask
-        sub = a[(sets & self._sample_mask) == self.sample_offset]
-        if sub.size == 0:
-            return
-        groups = (sub & self._set_mask) // self.set_sampling
-        set_bits = self.num_sets.bit_length() - 1
-        tags = sub >> set_bits
-        if self.tag_mode == "truncate":
-            tags &= (1 << self.partial_tag_bits) - 1
-        else:
-            tags = hash_fold_many(tags, self.partial_tag_bits)
-        # partial tags collide across sets; fold the group id into the key
-        # so the kernel's equal-key-implies-equal-group contract holds
-        bits = self.partial_tag_bits
-        keys = (groups << bits) | tags
-        composed = [
-            [(g << bits) | tag for tag in stack]
-            for g, stack in enumerate(self._stacks)
-        ]
-        bins, new_stacks = batched_depth_bins(
-            keys, groups, self.sampled_sets, self.positions, composed
-        )
-        mask = (1 << bits) - 1
-        self._stacks = [[key & mask for key in st] for st in new_stacks]
-        self._counters += np.bincount(bins, minlength=self.positions + 1)
-        self.observed += int(sub.size)
-        self._mass += float(sub.size)
+    def stack_of_set(self, set_index: int) -> list[int]:
+        """MRU->LRU partial tags tracked for one sampled set (for tests)."""
+        if (set_index & self._sample_mask) != self.sample_offset:
+            raise ConfigError(f"set {set_index} is not sampled")
+        return self._stack(set_index // self.set_sampling)
 
     # -- scaled histogram queries -------------------------------------------
 
@@ -177,12 +149,6 @@ class SampledMSAProfiler:
     def total_accesses(self) -> float:
         return float(self.histogram.sum())
 
-    @property
-    def expected_mass(self) -> float:
-        """What the *raw* counters should sum to (see
-        :attr:`repro.profiling.msa.MSAProfiler.expected_mass`)."""
-        return self._mass
-
     def miss_counts(self) -> np.ndarray:
         hits_cum = np.concatenate(([0.0], np.cumsum(self.histogram[:-1])))
         return self.total_accesses - hits_cum
@@ -197,16 +163,6 @@ class SampledMSAProfiler:
         if total == 0:
             return np.ones(self.positions + 1)
         return self.miss_counts() / total
-
-    def reset(self) -> None:
-        self._counters[:] = 0.0
-        self._mass = 0.0
-
-    def decay(self, factor: float = 0.5) -> None:
-        if not 0.0 <= factor <= 1.0:
-            raise ConfigError("decay factor must be in [0, 1]")
-        self._counters *= factor
-        self._mass *= factor
 
 
 def profile_error(

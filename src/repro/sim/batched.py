@@ -3,8 +3,8 @@
 The reference backend (``repro.sim.system``) pays Python object overhead on
 every L2 access.  This backend checks the whole simulation state out of the
 object model into flat numpy arrays, runs the per-access loop in the C
-kernel of ``kernel.c`` (built and loaded by :mod:`repro.sim.kernel`), and
-defers profiler observations to vectorised ``observe_many`` batches.  See
+kernel of ``kernel.c`` (built and loaded by :mod:`repro.kernel`), and
+defers profiler observations to ``observe_many`` batches.  See
 DESIGN.md §15.
 
 The kernel is entered once per *barrier*: the next controller tick, the
@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.cpu.core import CoreSnapshot
 from repro.errors import ConfigError
-from repro.sim import kernel
+from repro import kernel
 from repro.telemetry.spans import maybe_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -257,7 +257,7 @@ def run_batched(system: "CMPSystem", lib: ctypes.CDLL) -> None:  # noqa: C901
     pend = list(pos0)
 
     def flush_pending() -> None:
-        """Hand deferred observations to the vectorised profilers.  A
+        """Hand deferred observations to the profilers' batch walk.  A
         boundary event is excluded (its core's position still points at
         it): the reference observes it only after the tick."""
         if profilers is None:

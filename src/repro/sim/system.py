@@ -68,7 +68,7 @@ def engine_in_use(backend: str) -> str:
     ``kernel``, or ``reference-fallback`` (batched without a kernel)."""
     if backend != "batched":
         return "reference"
-    from repro.sim import kernel
+    from repro import kernel
 
     return "kernel" if kernel.load() is not None else "reference-fallback"
 
@@ -276,7 +276,7 @@ class CMPSystem:
 
     def _run_engine(self) -> None:
         if self.backend == "batched":
-            from repro.sim import kernel
+            from repro import kernel
 
             lib = kernel.load()
             if lib is not None:

@@ -7,6 +7,8 @@ it without creating import cycles.
 
 from __future__ import annotations
 
+import numpy as np
+
 LINE_SIZE = 64  #: cache line size in bytes used throughout the paper.
 
 LINE_SHIFT = LINE_SIZE.bit_length() - 1
@@ -47,6 +49,23 @@ def hash_fold(value: int, bits: int) -> int:
     # final squeeze from 16 bits down to the requested width
     out = 0
     while folded:
+        out ^= folded & mask
+        folded >>= bits
+    return out & mask
+
+
+def hash_fold_many(values: np.ndarray, bits: int) -> np.ndarray:
+    """Vectorized :func:`hash_fold` over an array of non-negative ints."""
+    if bits <= 0:
+        raise ValueError("need a positive tag width")
+    mask = (1 << bits) - 1
+    v = values.copy()
+    folded = np.zeros_like(v)
+    while np.any(v):
+        folded ^= v & 0xFFFF
+        v >>= 16
+    out = np.zeros_like(folded)
+    while np.any(folded):
         out ^= folded & mask
         folded >>= bits
     return out & mask

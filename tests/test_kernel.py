@@ -1,4 +1,4 @@
-"""The compiled event-loop kernel: float helpers, build cache, fallback.
+"""The compiled kernel library: float helpers, build cache, fallback.
 
 Bit-identity of whole runs lives in ``tests/test_sim_backends.py``; this
 file covers the kernel's own surfaces -- CPython-exact float floor
@@ -19,7 +19,8 @@ import pytest
 import repro
 from repro.cli import main as cli_main
 from repro.config import scaled_config
-from repro.sim import engine_in_use, kernel
+from repro import kernel
+from repro.sim import engine_in_use
 from repro.sim.runner import RunSettings, build_system, run_mix
 from repro.workloads import Mix
 
@@ -89,7 +90,7 @@ class TestBuildCache:
         script = (
             "import sys\n"
             "from pathlib import Path\n"
-            "from repro.sim import kernel\n"
+            "from repro import kernel\n"
             "lib = kernel.open_library(kernel.build(Path(sys.argv[1])))\n"
             "assert lib.py_floordiv(7.0, 2.0) == 3.0\n"
             "print('ok')\n"

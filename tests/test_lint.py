@@ -414,10 +414,43 @@ class TestCli:
         flagged = {
             (f.path.split("/")[-2], f.rule) for f in result.findings
         }
-        assert flagged == {
-            ("a", "DET001"), ("a", "DET003"),
-            ("b", "DET001"), ("b", "DET003"),
-        }
+        # one finding per raw np.random call: DET001 owns the line
+        assert flagged == {("a", "DET001"), ("b", "DET001")}
+
+    def test_raw_default_rng_is_one_finding(self, tmp_path):
+        """DET001 and DET003 both cover a raw np.random.default_rng();
+        exactly one of them reports it."""
+        source = tmp_path / "draw.py"
+        source.write_text(
+            "import numpy as np\n\n\n"
+            "def draw():\n"
+            "    return np.random.default_rng()\n"
+        )
+        result = lint_paths([str(source)], CFG)
+        on_call = [f for f in result.findings if f.line == 5]
+        assert [f.rule for f in on_call] == ["DET001"]
+        # one suppression silences the line
+        source.write_text(source.read_text().replace(
+            "default_rng()\n", "default_rng()  # repro-lint: disable=DET001\n"
+        ))
+        assert [f for f in lint_paths([str(source)], CFG).findings
+                if f.line == 5] == []
+
+    def test_repository_is_clean_by_absolute_path_from_elsewhere(
+        self, monkeypatch, capsys
+    ):
+        """Baseline entries are relative to the baseline's directory, so
+        absolute paths linted from another cwd still match them."""
+        from repro.cli import main
+
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.chdir(root / "src")
+        code = main(["lint", *(str(root / d) for d in
+                               ("src", "benchmarks", "examples"))])
+        captured = capsys.readouterr()
+        assert code == 0, captured.out
+        assert "stale baseline entry" not in captured.err, captured.err
+        assert "0 error(s), 3 advice" in captured.out
 
     def test_narrow_run_keeps_out_of_scope_baseline_entries(
         self, tmp_path, capsys

@@ -87,6 +87,84 @@ class TestLookahead:
         assert n == 1  # 50/way either way; smaller grant wins
 
 
+def scan_best(curve, current, max_extra):
+    """The lookahead step as a full scan: the oracle for the table."""
+    mu = curve.marginal_utilities(current, max_extra)
+    best = int(np.argmax(mu))
+    return float(mu[best]), best + 1
+
+
+def random_curve(rng, k, flat_frac=0.5, name="r"):
+    """A non-increasing curve over 0..k ways with flat runs (drops of
+    exactly 0) mixed with integer and fractional drops."""
+    drops = rng.choice([0.0, 1.0, 3.0, 17.0], size=k) * rng.random(k)
+    drops[rng.random(k) < flat_frac] = 0.0
+    drops[rng.random(k) < 0.2] = rng.integers(1, 40, size=k)[0]
+    misses = drops.sum() + 5.0 - np.concatenate(([0.0], np.cumsum(drops)))
+    return MissCurve(name, misses, float(misses[0]) + 7.0)
+
+
+class TestLookaheadTable:
+    """``best_marginal_utility`` reads a per-curve prefix-max table; it
+    must equal the scan in value and extra for every query."""
+
+    def _check_all_queries(self, curve):
+        k = curve.max_ways
+        for current in range(k + 3):
+            for max_extra in range(1, 2 * k + 1):
+                got = curve.best_marginal_utility(current, max_extra)
+                want = scan_best(curve, current, max_extra)
+                same_mu = got[0] == want[0] or (
+                    np.isnan(got[0]) and np.isnan(want[0])
+                )
+                assert same_mu and got[1] == want[1], (
+                    current, max_extra, got, want,
+                )
+                assert type(got[0]) is float and type(got[1]) is int
+
+    @pytest.mark.parametrize("k,seed", [
+        (1, 0), (2, 1), (5, 2), (16, 3), (33, 4), (128, 5), (128, 6),
+    ])
+    def test_matches_the_scan(self, k, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        self._check_all_queries(random_curve(rng, k))
+
+    @pytest.mark.parametrize("k", [1, 7, 128])
+    def test_all_flat_curve(self, k):
+        self._check_all_queries(MissCurve("flat", np.full(k + 1, 42.0), 50.0))
+
+    def test_mostly_flat_with_late_cliff(self):
+        misses = np.full(65, 300.0)
+        misses[60:] = 0.5
+        self._check_all_queries(MissCurve("cliff", misses, 300.0))
+
+    def test_tail_rising_within_tolerance_scans(self):
+        """Misses may rise by up to 1e-9 per step; past K extra ways such a
+        row's marginal utility still grows, which the table cannot see."""
+        misses = np.array([5.0, 5.0 + 4e-10, 5.0 + 8e-10, 5.0 + 9e-10])
+        self._check_all_queries(MissCurve("rise", misses, 6.0))
+
+    def test_nan_curve_scans(self):
+        curve = MissCurve("nan", np.array([3.0, np.nan, 1.0]), 4.0)
+        assert curve._lookahead is None
+        self._check_all_queries(curve)
+
+    def test_table_is_compact_and_cached(self):
+        rng = np.random.Generator(np.random.PCG64(9))
+        curve = random_curve(rng, 128)
+        table = curve._lookahead
+        assert table is curve._lookahead  # built once per curve
+        assert table.shape == (129, 128) and table.dtype == np.uint8
+        assert table.nbytes < 20_000
+
+    def test_bad_queries_rejected_like_the_scan(self):
+        curve = linear_curve()
+        with pytest.raises(ValueError, match="max_extra"):
+            curve.best_marginal_utility(0, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            curve.best_marginal_utility(-1, 3)
+
+
 class TestRatios:
     def test_miss_ratio(self):
         c = linear_curve()

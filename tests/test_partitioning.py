@@ -127,6 +127,66 @@ class TestUnrestricted:
             predicted_misses([flat_curve()], [1, 2])
 
 
+def scan_unrestricted(curves, total_ways, *, min_ways=1,
+                      max_ways_per_core=None):
+    """The lookahead as it was written before the table: every core's curve
+    re-scanned with ``marginal_utilities`` + ``np.argmax`` on every grant.
+    The oracle for :func:`unrestricted_partition`."""
+    n = len(curves)
+    cap = total_ways if max_ways_per_core is None else max_ways_per_core
+    alloc = [min_ways] * n
+    remaining = total_ways - sum(alloc)
+    while remaining > 0:
+        best_mu, best_core, best_extra = -1.0, -1, 0
+        for core, curve in enumerate(curves):
+            room = min(remaining, cap - alloc[core])
+            if room <= 0:
+                continue
+            mu = curve.marginal_utilities(alloc[core], room)
+            extra = int(np.argmax(mu)) + 1
+            if float(mu[extra - 1]) > best_mu:
+                best_mu, best_core, best_extra = float(mu[extra - 1]), core, extra
+        if best_mu <= 0.0:
+            while remaining > 0:
+                for core in range(n):
+                    if remaining and alloc[core] < cap:
+                        alloc[core] += 1
+                        remaining -= 1
+            break
+        alloc[best_core] += best_extra
+        remaining -= best_extra
+    return alloc
+
+
+def random_mix_curves(rng, n, k):
+    curves = []
+    for core in range(n):
+        drops = rng.choice([0.0, 1.0, 5.0, 40.0], size=k) * rng.random(k)
+        drops[rng.random(k) < rng.random()] = 0.0  # flat runs
+        if rng.random() < 0.1:
+            drops[:] = 0.0  # an all-flat curve
+        misses = drops.sum() + 1.0 - np.concatenate(([0.0], np.cumsum(drops)))
+        curves.append(MissCurve(f"c{core}", misses, float(misses[0])))
+    return curves
+
+
+class TestUnrestrictedMatchesScan:
+    def test_500_random_mixes(self):
+        rng = np.random.Generator(np.random.PCG64(2024))
+        for mix in range(500):
+            k = int(rng.choice([16, 32, 64, 128]))
+            n = int(rng.integers(2, 9))
+            curves = random_mix_curves(rng, n, k)
+            min_ways = 1 + mix % 2
+            cap = None
+            if mix % 3:
+                cap = int(rng.integers(-(-k // n), k + 1))
+                cap = max(cap, min_ways)
+            kwargs = dict(min_ways=min_ways, max_ways_per_core=cap)
+            assert unrestricted_partition(curves, k, **kwargs) == \
+                scan_unrestricted(curves, k, **kwargs), (mix, k, n, kwargs)
+
+
 class TestBankAwareInvariants:
     def run(self, curves, **kw) -> BankAwareDecision:
         return bank_aware_partition(curves, **kw)
