@@ -11,11 +11,10 @@ from repro.cache.partition_map import equal_partition_map
 from repro.config import scaled_config
 from repro.profiling.msa import MSAProfiler
 from repro.profiling.sampled import SampledMSAProfiler
-from repro.workloads import generate_trace, get
+from repro.workloads import generate_lines, get
 
 CFG = scaled_config(8)
-TRACE = generate_trace(get("twolf"), 20_000, CFG.l2.sets_per_bank, seed=1)
-LINES = TRACE.lines.tolist()
+LINES = generate_lines(get("twolf"), 20_000, CFG.l2.sets_per_bank, seed=1).tolist()
 
 
 def test_nuca_shared_dnuca_throughput(benchmark):

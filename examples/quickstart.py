@@ -18,7 +18,7 @@ from repro.config import scaled_config
 from repro.partitioning import bank_aware_partition, decision_to_partition_map
 from repro.profiling import MissCurve, MSAProfiler
 from repro.sim import RunSettings, run_mix
-from repro.workloads import Mix, generate_trace, get
+from repro.workloads import Mix, generate_lines, generate_trace, get
 
 
 def main() -> None:
@@ -48,7 +48,7 @@ def main() -> None:
     curves = []
     for core, name in enumerate(mix.names):
         p = MSAProfiler(nsets, cfg.l2.total_ways)
-        p.observe_many(generate_trace(get(name), 40_000, nsets, seed=core).lines)
+        p.observe_many(generate_lines(get(name), 40_000, nsets, seed=core))
         curves.append(MissCurve.from_profiler(p, name))
     decision = bank_aware_partition(
         curves,

@@ -22,7 +22,7 @@ from repro.sim.runner import RunSettings, SchemeComparison, run_sweep
 from repro.util.stats import geometric_mean
 from repro.workloads.mixes import TABLE_III_SETS, Mix
 from repro.workloads.spec_like import get
-from repro.workloads.synthetic import generate_trace
+from repro.workloads.synthetic import generate_lines
 
 # ---------------------------------------------------------------------------
 # Table I — baseline machine parameters
@@ -73,8 +73,9 @@ def fig2_histogram(
     concentrated toward the MRU positions plus a miss bin."""
     cfg = config or scaled_config()
     prof = MSAProfiler(cfg.l2.sets_per_bank, positions)
-    trace = generate_trace(get(workload), accesses, cfg.l2.sets_per_bank, seed=seed)
-    prof.observe_many(trace.lines)
+    prof.observe_many(
+        generate_lines(get(workload), accesses, cfg.l2.sets_per_bank, seed=seed)
+    )
     return prof.histogram
 
 
@@ -146,8 +147,7 @@ def fig4_aggregation(
     one core's multi-bank partition (paper Section III.B): Cascade matches
     the ideal LRU but with a prohibitive migration rate; Hash/Parallel trade
     a little fidelity for near-zero migrations."""
-    trace = generate_trace(get(workload), accesses, num_sets, seed=seed)
-    lines = trace.lines.tolist()
+    lines = generate_lines(get(workload), accesses, num_sets, seed=seed).tolist()
     outcomes = []
     for name in SCHEMES:
         agg = make_aggregation(name, num_banks, bank_ways, num_sets)
@@ -276,8 +276,7 @@ def profiler_accuracy(
     tags with 1-in-32 sampling stay within 5 %."""
     cfg = config or scaled_config()
     sets = cfg.l2.sets_per_bank
-    trace = generate_trace(get(workload), accesses, sets, seed=seed)
-    lines = trace.lines
+    lines = generate_lines(get(workload), accesses, sets, seed=seed)
     exact = MSAProfiler(sets, cfg.max_ways_per_core)
     exact.observe_many(lines)
     rows = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.config import SystemConfig, scaled_config
 from repro.mem.trace import Trace
-from repro.sim.runner import RunSettings, estimate_access_rate, run_mix
+from repro.sim.runner import RunSettings, run_mix, trace_length
 from repro.sim.stats import SystemResult
 from repro.sim.system import CMPSystem
 from repro.workloads.mixes import Mix
@@ -43,10 +43,7 @@ def standalone_cpi(
     st = settings or RunSettings()
     spec = get(name)
     trace = generate_trace(
-        spec,
-        int(st.duration_cycles * estimate_access_rate(spec, cfg) * st.trace_margin) + 1,
-        cfg.l2.sets_per_bank,
-        seed=st.seed,
+        spec, trace_length(spec, cfg, st), cfg.l2.sets_per_bank, seed=st.seed
     )
     specs = [spec] + [spec] * (cfg.num_cores - 1)
     traces = [trace] + [_empty_trace() for _ in range(cfg.num_cores - 1)]

@@ -51,7 +51,7 @@ from repro.telemetry.tracer import Tracer
 from repro.util.atomic_write import atomic_write_text
 from repro.workloads.mixes import Mix, random_mixes
 from repro.workloads.spec_like import ALL_NAMES, get
-from repro.workloads.synthetic import generate_trace
+from repro.workloads.synthetic import generate_lines
 
 
 def collect_profiles(
@@ -92,10 +92,9 @@ def collect_profiles(
                 curves[name] = hit
                 continue
         profiler = MSAProfiler(cfg.l2.sets_per_bank, cfg.l2.total_ways)
-        trace = generate_trace(
+        lines = generate_lines(
             get(name), accesses, cfg.l2.sets_per_bank, seed=seed
         )
-        lines = trace.lines
         profiler.observe_many(lines[:warmup])
         profiler.reset()  # drop warmup counts; stack state persists
         profiler.observe_many(lines[warmup:])

@@ -35,7 +35,7 @@ enum {
 
 struct sim {
     /* geometry and constant model parameters */
-    int64_t ncores, nbanks, nsets, ways, set_bits, mode;
+    int64_t ncores, nbanks, nsets, ways, set_bits, line_shift, mode;
     int64_t max_demotions, promote_on_hit, placement_hash;
     double bank_busy, mem_busy, mem_lat;
 
@@ -79,7 +79,7 @@ struct sim {
     /* cores: next arrival (INFINITY = none), stall, trace cursors */
     double *arrival, *stall, *mlp;
     int64_t *pos, *end;
-    int64_t **lines;
+    uint64_t **addrs;  /* byte addresses; line = addr >> line_shift */
     uint8_t **writes;
     double **comp;
 
@@ -498,7 +498,8 @@ int sim_run(struct sim *s, int force)
 
         int64_t pos = s->pos[c];
         int64_t bank;
-        int hit = access(s, c, s->lines[c][pos], s->writes[c][pos], &bank);
+        int64_t line = (int64_t)(s->addrs[c][pos] >> s->line_shift);
+        int hit = access(s, c, line, s->writes[c][pos], &bank);
         if (hit < 0)
             return hit;
 

@@ -48,7 +48,7 @@ RC_BARRIER, RC_EXHAUSTED, RC_IDLE, RC_NO_WAYS, RC_NO_PARTITION = 0, 1, 2, -1, -2
 #: the field order of ``struct sim`` in kernel.c, one line per run of
 #: fields sharing a kind: ``i`` int64, ``d`` double, ``p`` pointer
 _LAYOUT = """
-i ncores nbanks nsets ways set_bits mode max_demotions promote_on_hit placement_hash
+i ncores nbanks nsets ways set_bits line_shift mode max_demotions promote_on_hit placement_hash
 d bank_busy mem_busy mem_lat
 p tags dirty owners stamps seq clocks
 i seq_next
@@ -65,7 +65,7 @@ d window
 p budgets used demand rwin
 i throttled
 d throttle_cycles
-p arrival stall mlp pos end lines writes comp
+p arrival stall mlp pos end addrs writes comp
 d barrier
 i cur_core
 d cur_time

@@ -41,7 +41,12 @@ class MemoryAccess(NamedTuple):
 
 @dataclass(frozen=True)
 class Trace:
-    """An immutable columnar memory trace for one core."""
+    """An immutable columnar memory trace for one core.
+
+    Each column is held as a read-only view, so one trace can be shared
+    by several simulated systems (the schemes of one comparison) without
+    any of them being able to change what the others replay.
+    """
 
     addresses: np.ndarray  #: uint64 byte addresses
     is_write: np.ndarray  #: bool
@@ -51,12 +56,12 @@ class Trace:
         n = len(self.addresses)
         if len(self.is_write) != n or len(self.gaps) != n:
             raise ConfigError("trace columns must have equal length")
-        if self.addresses.dtype != np.uint64:
-            object.__setattr__(self, "addresses", self.addresses.astype(np.uint64))
-        if self.is_write.dtype != np.bool_:
-            object.__setattr__(self, "is_write", self.is_write.astype(np.bool_))
-        if self.gaps.dtype != np.uint32:
-            object.__setattr__(self, "gaps", self.gaps.astype(np.uint32))
+        for name, dtype in (
+            ("addresses", np.uint64), ("is_write", np.bool_), ("gaps", np.uint32)
+        ):
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.addresses)

@@ -48,7 +48,7 @@ from repro.profiling.msa import MSAProfiler
 from repro.sim.runner import RunSettings, run_mix
 from repro.workloads.mixes import TABLE_III_SETS
 from repro.workloads.spec_like import ALL_NAMES, get
-from repro.workloads.synthetic import generate_trace
+from repro.workloads.synthetic import generate_lines
 
 FORMAT = "repro-bench"
 VERSION = 1
@@ -78,7 +78,7 @@ def _bench_profiling(quick: bool) -> list[dict]:
 
     t0 = time.perf_counter()
     traces = [
-        generate_trace(get(name), accesses, num_sets, seed=11).lines
+        generate_lines(get(name), accesses, num_sets, seed=11)
         for name in names
     ]
     gen_wall = time.perf_counter() - t0

@@ -70,16 +70,18 @@ def unrestricted_partition(
         best_core = -1
         best_extra = 0
         for core, curve in enumerate(curves):
-            room = min(remaining, cap - alloc[core])
+            room = cap - alloc[core]
+            if room > remaining:  # min() without the call: a hot loop
+                room = remaining
             if room <= 0:
                 continue
             answer = answers[core]
             if answer is None or answer[1] > room:
                 answer = curve.best_marginal_utility(alloc[core], room)
                 answers[core] = answer
-            mu, extra = answer
-            if mu > best_mu:
-                best_mu, best_core, best_extra = mu, core, extra
+            if answer[0] > best_mu:
+                best_mu, best_extra = answer
+                best_core = core
         if best_core < 0:
             raise PartitionInvariantError("no core can accept more ways")  # caps checked above
         if best_mu <= 0.0:

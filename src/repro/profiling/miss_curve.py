@@ -41,18 +41,31 @@ class MissCurve:
             raise ConfigError("miss counts must be non-increasing in ways")
         if self.total_accesses < m[0] - 1e-9:
             raise ConfigError("size-0 misses cannot exceed total accesses")
+        # read-only, so the cached views below can never go stale
+        m = m.view()
+        m.flags.writeable = False
         object.__setattr__(self, "misses", m)
 
     @property
     def max_ways(self) -> int:
         return len(self.misses) - 1
 
+    @functools.cached_property
+    def _values(self) -> list[float]:
+        """``misses`` as Python floats: the partitioning loops read single
+        sizes, and a list read is several times cheaper than a numpy
+        scalar read (the values are the same doubles)."""
+        return self.misses.tolist()
+
     def misses_at(self, ways: int) -> float:
         """Projected misses with ``ways`` dedicated ways (clamped at K —
         an LRU cache larger than the tracked depth cannot miss more)."""
         if ways < 0:
             raise ConfigError("ways must be non-negative")
-        return float(self.misses[min(ways, self.max_ways)])
+        try:
+            return self._values[ways]
+        except IndexError:
+            return self._values[-1]
 
     def miss_ratio_at(self, ways: int) -> float:
         if self.total_accesses == 0:
@@ -91,18 +104,19 @@ class MissCurve:
         if max_extra < 1:
             raise ConfigError("max_extra must be positive")
         base = self.misses_at(current)
-        k = self.max_ways
+        values = self._values
+        k = len(values) - 1
         c = min(current, k)
-        table = self._lookahead
+        table = self._lookahead_flat
         # past K extra ways every size is K, so only a curve that ends
         # above its row's start (within the non-increase tolerance) can
         # still gain there; those and NaN curves scan
-        if table is None or (max_extra > k and base < self.misses[k]):
+        if table is None or (max_extra > k and base < values[k]):
             mu = self.marginal_utilities(current, max_extra)
             best = int(np.argmax(mu))
             return float(mu[best]), best + 1
-        extra = int(table[c, min(max_extra, k) - 1])
-        return (base - float(self.misses[min(c + extra, k)])) / extra, extra
+        extra = table[c * k + min(max_extra, k) - 1]
+        return (base - values[min(c + extra, k)]) / extra, extra
 
     @functools.cached_property
     def _lookahead(self) -> np.ndarray | None:
@@ -126,6 +140,13 @@ class MissCurve:
         rises[:, 1:] = mu[:, 1:] > running[:, :-1]
         first = np.maximum.accumulate(np.where(rises, steps, 0), axis=1)
         return first.astype(np.uint8 if k < 256 else np.uint16)
+
+    @functools.cached_property
+    def _lookahead_flat(self) -> memoryview | None:
+        """:attr:`_lookahead` flattened row-major, ``[c * K + n - 1]``: a
+        view of the same buffer whose reads are Python ints."""
+        table = self._lookahead
+        return None if table is None else memoryview(table.reshape(-1))
 
     @staticmethod
     def from_histogram(

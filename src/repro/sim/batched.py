@@ -51,6 +51,7 @@ from repro.cpu.core import CoreSnapshot
 from repro.errors import ConfigError
 from repro import kernel
 from repro.telemetry.spans import maybe_span
+from repro.util.bits import LINE_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.system import CMPSystem
@@ -208,17 +209,20 @@ def run_batched(system: "CMPSystem", lib: ctypes.CDLL) -> None:  # noqa: C901
     counts = system._len
     pos0 = list(system._pos)
     gaps = system._gaps
-    lines = [np.ascontiguousarray(x).view(np.int64) for x in system._lines]
+    addrs = [np.ascontiguousarray(x) for x in system._addrs]
     writes = [np.ascontiguousarray(x).view(np.uint8) for x in system._writes]
+    # cast and product in one pass (no float64 copy of the gaps first);
+    # each element is still float64(gap) * nonmem_cpi
     comp = [
-        g.astype(np.float64) * timers[c].nonmem_cpi for c, g in enumerate(gaps)
+        np.multiply(g, timers[c].nonmem_cpi, dtype=np.float64)
+        for c, g in enumerate(gaps)
     ]
     a["arrival"] = np.full(ncores, _INF)
     a["stall"] = np.array([t.mem_stall for t in timers], np.float64)
     a["mlp"] = np.array([t.mlp for t in timers], np.float64)
     a["pos"] = np.array(pos0, np.int64)
     a["end"] = np.array(counts, np.int64)
-    for name, cols in (("lines", lines), ("writes", writes), ("comp", comp)):
+    for name, cols in (("addrs", addrs), ("writes", writes), ("comp", comp)):
         a[name] = np.array([col.ctypes.data for col in cols], np.uint64)
 
     def instructions(c: int, stop: int) -> int:
@@ -238,7 +242,7 @@ def run_batched(system: "CMPSystem", lib: ctypes.CDLL) -> None:  # noqa: C901
         bank_busy=float(ports[0].busy_cycles),
         mem_busy=float(mport.busy_cycles),
         mem_lat=float(config.memory.latency_cycles),
-        seq_next=len(l2._where) + 1, dir_bits=dir_bits,
+        seq_next=len(l2._where) + 1, dir_bits=dir_bits, line_shift=LINE_SHIFT,
         shared_rr=l2._shared_rr, migrations=l2.stats.migrations,
         writebacks=l2.stats.writebacks,
         mnext=mport.next_free, mdelay=mport.total_queue_delay,
@@ -266,7 +270,10 @@ def run_batched(system: "CMPSystem", lib: ctypes.CDLL) -> None:  # noqa: C901
             end = int(a["pos"][c])
             start = pend[c]
             if end > start:
-                profilers[c].observe_many(system._lines[c][start:end])
+                # the int64 view is the walk's own input type, so the
+                # shifted slice is the batch's only copy
+                lines = system._addrs[c][start:end] >> np.uint64(LINE_SHIFT)
+                profilers[c].observe_many(lines.view(np.int64))
                 pend[c] = end
 
     def core_l2(c: int) -> tuple[int, int]:

@@ -14,6 +14,7 @@ co-runners.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from repro.fabric.supervisor import (
     Supervisor,
     SupervisorPolicy,
 )
+from repro.mem.trace import Trace
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.faults import FaultPlan
 from repro.sim.stats import SystemResult
@@ -98,6 +100,54 @@ class RunSettings:
         return self.duration_cycles * self.warmup_fraction
 
 
+def trace_length(
+    spec: WorkloadSpec, config: SystemConfig, settings: RunSettings
+) -> int:
+    """Accesses to generate for one core so it stays busy for the whole
+    ``settings.duration_cycles`` (the estimated access rate times the
+    ``trace_margin`` safety factor)."""
+    rate = estimate_access_rate(spec, config)
+    return int(settings.duration_cycles * rate * settings.trace_margin) + 1
+
+
+@dataclass(frozen=True)
+class MixTraces:
+    """One mix's per-core traces, keyed by exactly the arguments of their
+    :func:`generate_trace` calls: core ``c`` gets ``lengths[c]`` accesses,
+    seed ``seed + c`` and base address ``c * CORE_ADDRESS_STRIDE``."""
+
+    specs: tuple[WorkloadSpec, ...]
+    lengths: tuple[int, ...]
+    num_sets: int
+    seed: int
+
+    @functools.cached_property
+    def traces(self) -> tuple[Trace, ...]:
+        """The (read-only) traces, generated on first use."""
+        return tuple(
+            generate_trace(
+                spec, length, self.num_sets,
+                seed=self.seed + core, base_address=core * CORE_ADDRESS_STRIDE,
+            )
+            for core, (spec, length) in enumerate(zip(self.specs, self.lengths))
+        )
+
+
+@functools.lru_cache(maxsize=1)
+def shared_mix(key: MixTraces) -> MixTraces:
+    """The one-entry memo of the last mix built in this process.
+
+    Every scheme of a comparison replays the same traces, so an equal key
+    returns the earlier entry, traces and all: a process generates each
+    mix once, not once per scheme.  A new key becomes the entry itself,
+    which evicts the previous mix before its own traces are generated, so
+    a sweep never holds two mixes' traces.  The result is a pure function
+    of the key; worker processes each fill their own memo, with identical
+    results.
+    """
+    return key
+
+
 def build_system(
     mix: Mix,
     scheme: str,
@@ -112,21 +162,14 @@ def build_system(
         raise ConfigError(
             f"mix has {len(specs)} workloads, machine has {cfg.num_cores} cores"
         )
-    traces = [
-        generate_trace(
-            spec,
-            int(
-                st.duration_cycles
-                * estimate_access_rate(spec, cfg)
-                * st.trace_margin
-            )
-            + 1,
+    traces = shared_mix(
+        MixTraces(
+            specs,
+            tuple(trace_length(spec, cfg, st) for spec in specs),
             cfg.l2.sets_per_bank,
-            seed=st.seed + core,
-            base_address=core * CORE_ADDRESS_STRIDE,
+            st.seed,
         )
-        for core, spec in enumerate(specs)
-    ]
+    ).traces
     system = CMPSystem(
         cfg,
         specs,

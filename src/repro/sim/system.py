@@ -44,6 +44,7 @@ from repro.sim.stats import CoreResult, SystemResult
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import SpanRecorder
 from repro.telemetry.tracer import Tracer
+from repro.util.bits import LINE_SHIFT
 from repro.workloads.synthetic import WorkloadSpec
 
 from repro.errors import ConfigError
@@ -195,9 +196,11 @@ class CMPSystem:
                 regulator=self.regulator,
             )
 
-        # columnar trace state for the event loop: numpy views shared with
-        # the Trace objects, so long traces are never materialised twice
-        self._lines = [t.lines for t in traces]
+        # columnar trace state for the event loop: the Trace objects' own
+        # read-only columns, shared with every other system replaying the
+        # same traces; both engines shift each address to its line where
+        # they read it
+        self._addrs = [t.addresses for t in traces]
         self._writes = [t.is_write for t in traces]
         self._gaps = [t.gaps for t in traces]
         self._pos = [0] * config.num_cores
@@ -339,7 +342,7 @@ class CMPSystem:
 
     def _process(self, core: int, arrival: float) -> None:
         pos = self._pos[core]
-        line = int(self._lines[core][pos])
+        line = int(self._addrs[core][pos]) >> LINE_SHIFT
         is_write = bool(self._writes[core][pos])
         if self.profilers is not None:
             self.profilers[core].observe(line)

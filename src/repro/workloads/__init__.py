@@ -6,6 +6,7 @@ from repro.workloads.synthetic import (
     PhasedWorkload,
     ReusePool,
     WorkloadSpec,
+    generate_lines,
     generate_trace,
 )
 
@@ -18,6 +19,7 @@ __all__ = [
     "ReusePool",
     "TABLE_III_SETS",
     "WorkloadSpec",
+    "generate_lines",
     "generate_trace",
     "get",
     "random_mixes",

@@ -39,6 +39,7 @@ import numpy as np
 import zlib
 
 from repro.mem.trace import Trace
+from repro.util.bits import LINE_SHIFT
 from repro.util.rng import rng_stream
 
 from repro.errors import ConfigError
@@ -151,31 +152,12 @@ def _pool_popularity(
     return weights / weights.sum()
 
 
-def generate_trace(
-    spec: WorkloadSpec,
-    num_accesses: int,
-    num_sets: int,
-    *,
-    seed: int = 0,
-    base_address: int = 0,
-) -> Trace:
-    """Generate ``num_accesses`` L2 references for one benchmark.
-
-    ``num_sets`` is the total number of L2 sets of the simulated machine
-    (2048 for the paper baseline); pool footprints scale with it so that a
-    pool of *w* ways always occupies *w* lines per set.
-
-    Lines are striped across sets (line index ``i`` of a pool maps to set
-    ``i % num_sets``) so that each set observes the same stack-distance
-    statistics — the homogeneity assumption behind the paper's 1-in-32 set
-    sampling.
-    """
+def _draw_lines(spec: WorkloadSpec, num_accesses: int, num_sets: int, seed: int):
+    """The cache-line column of a trace, the first draws of its stream;
+    returns the lines and the stream, positioned after them."""
     if num_accesses < 0:
         raise ConfigError("num_accesses must be non-negative")
-    # base_address deliberately not in the RNG key: offsetting a trace in
-    # the address space must not change its access pattern.
     rng = rng_stream(seed, "trace", spec.name)
-
     weights = spec.component_weights()
     n_components = len(weights)
     stream_idx = n_components - 1
@@ -205,8 +187,46 @@ def generate_trace(
         )
         base = _region_base_lines(spec.name, stream_idx, region_lines)
         lines[stream_mask] = np.uint64(base) + seq
+    return lines, rng
 
-    addresses = (lines << np.uint64(6)) + np.uint64(base_address)
+
+def generate_lines(
+    spec: WorkloadSpec, num_accesses: int, num_sets: int, *, seed: int = 0
+) -> np.ndarray:
+    """The cache-line numbers of :func:`generate_trace`'s trace, alone.
+
+    Equal to ``generate_trace(spec, num_accesses, num_sets, seed=seed).lines``
+    but draws neither write flags nor gaps, which the trace draws after
+    its addresses: the profiling passes read nothing else.
+    """
+    return _draw_lines(spec, num_accesses, num_sets, seed)[0]
+
+
+def generate_trace(
+    spec: WorkloadSpec,
+    num_accesses: int,
+    num_sets: int,
+    *,
+    seed: int = 0,
+    base_address: int = 0,
+) -> Trace:
+    """Generate ``num_accesses`` L2 references for one benchmark.
+
+    ``num_sets`` is the total number of L2 sets of the simulated machine
+    (2048 for the paper baseline); pool footprints scale with it so that a
+    pool of *w* ways always occupies *w* lines per set.
+
+    Lines are striped across sets (line index ``i`` of a pool maps to set
+    ``i % num_sets``) so that each set observes the same stack-distance
+    statistics — the homogeneity assumption behind the paper's 1-in-32 set
+    sampling.  The lines are drawn first (:func:`generate_lines`), then
+    the write flags, then the gaps.
+    """
+    # base_address deliberately not in the RNG key: offsetting a trace in
+    # the address space must not change its access pattern.
+    addresses, rng = _draw_lines(spec, num_accesses, num_sets, seed)
+    addresses <<= np.uint64(LINE_SHIFT)
+    addresses += np.uint64(base_address)
     is_write = rng.random(num_accesses) < spec.write_fraction
     gaps = rng.poisson(spec.mean_gap, size=num_accesses).astype(np.uint32)
     return Trace(addresses, is_write, gaps)

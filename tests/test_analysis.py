@@ -1,5 +1,7 @@
 """Analysis layer: Monte Carlo harness, experiment drivers, reporting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,27 @@ class TestMonteCarlo:
         mc = run_monte_carlo(60, CFG, curves=curves, seed=5)
         assert mc.mean_unrestricted_ratio < 0.95
         assert mc.mean_bank_aware_ratio < 0.97
+
+
+#: sha256 over every point's mix, Equal/Unrestricted/Bank-aware misses
+#: and Bank-aware ways of ``run_monte_carlo(200, scaled_config(8), seed=1)``,
+#: recorded before profiling switched to address-only traces and the
+#: miss curves to list-backed reads.
+FIG7_POINTS_SHA256 = (
+    "7fed00702d8361ce488941a7063621b621c4dace77d1a159dd261d28b21888e1"
+)
+
+
+class TestMonteCarloGolden:
+    def test_every_decision_matches_the_recording(self):
+        mc = run_monte_carlo(200, scaled_config(8), seed=1, jobs=1)
+        digest = hashlib.sha256()
+        for p in mc.points:
+            digest.update(repr((
+                p.mix.names, p.equal_misses, p.unrestricted_misses,
+                p.bank_aware_misses, p.bank_aware_ways,
+            )).encode())
+        assert digest.hexdigest() == FIG7_POINTS_SHA256
 
 
 class TestProfiles:

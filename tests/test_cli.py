@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -143,6 +145,16 @@ class TestMonteCarloCommand:
         assert main(self.ARGS + ["--checkpoint", path, "--resume"]) == 0
         second = capsys.readouterr().out
         assert first.splitlines()[:8] == second.splitlines()[:8]
+
+    def test_fig7_table_matches_golden(self, capsys):
+        """The printed Fig. 7 slice, byte for byte, as recorded in
+        tests/data (CI diffs the same command against the same file)."""
+        golden = Path(__file__).with_name("data") / (
+            "montecarlo_scale8_mixes200_seed1.txt"
+        )
+        args = ["montecarlo", "--scale", "8", "--mixes", "200", "--seed", "1"]
+        assert main(args + ["--jobs", "1"]) == 0
+        assert capsys.readouterr().out == golden.read_text()
 
     def test_resume_requires_checkpoint(self):
         with pytest.raises(SystemExit, match="requires"):

@@ -31,6 +31,21 @@ class TestTrace:
         t = make_trace(4)  # gaps 0+1+2+3 plus 4 memory ops
         assert t.instruction_count == 6 + 4
 
+    @pytest.mark.parametrize("column", ["addresses", "is_write", "gaps"])
+    def test_columns_are_read_only(self, column):
+        """Traces are shared across the systems of one comparison, so no
+        holder may write a column."""
+        t = make_trace(4)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(t, column)[0] = 1
+
+    def test_read_only_view_leaves_the_source_writable(self):
+        addrs = np.arange(3, dtype=np.uint64)
+        t = Trace(addrs, np.zeros(3, np.bool_), np.zeros(3, np.uint32))
+        addrs[0] = 64  # the caller's own array keeps its flags
+        assert not t.addresses.flags.writeable
+        assert t.slice(1).addresses.flags.writeable is False
+
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Trace(

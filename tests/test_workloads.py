@@ -1,5 +1,7 @@
 """Synthetic workload generators and the SPEC-like suite."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.workloads import (
     PhasedWorkload,
     ReusePool,
     WorkloadSpec,
+    generate_lines,
     generate_trace,
     get,
     random_mixes,
@@ -116,6 +119,91 @@ class TestGenerator:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             generate_trace(get("gzip"), -1, NSETS)
+
+
+#: sha256 of each column (addresses, is_write, gaps) of generate_trace,
+#: little-endian, keyed by (name, accesses, num_sets, seed, base_address);
+#: recorded before the address draw was split out as generate_lines.
+TRACE_DIGESTS = {
+    ("gzip", 5000, 64, 1, 0): (
+        "64fc10009283355d83fed81e4c9d0b0ac44f4bcdd976dd1f1aab5d49482181c8",
+        "a8dc777e42d3210e13b087bbdc2a4d1276500702e481ad80e00ccd86a3a384eb",
+        "aa68f8a14f23f281ab2edd12f13b3431b75030b1fe4e7fc25979cc9ce5d1b933",
+    ),
+    ("mcf", 5000, 256, 2, 0): (
+        "5041814e01765cee714380896529bba3f3a04200d2749382f390c394ed131546",
+        "a4347772e7bd4883d554614da9d759a5e78a5e53f0ed2c1180da35ecb2938f30",
+        "b65f58642ab6dc65df98e892d91f4f9fb4940770520d2ca2b43ad256c9b30f3b",
+    ),
+    ("applu", 3000, 2048, 7, 0): (
+        "34eeaacb3f84d44bb9386e052fcfd64460cd890aff0322c09244a9bfa3f3811b",
+        "01e103e8190169b1286bae41d2900723472757825a5dda9e21e3690a9af94dfd",
+        "6f660f92184e0ba50c786e8115d353eb90b1731852c06f1bf6508a617097bebd",
+    ),
+    ("bzip2", 4000, 64, 3, 0): (
+        "c9fce291c7fe330f6e0494412a6e77a147bdb0a5a74dd4b59ba9711fe222f8a1",
+        "f3b03ca67287bcbb8bf1d12d7603d08de8072f59794728f467f14e4ceacbfb12",
+        "8ccd856d43261ef74daf60ee3b3969b8bd3ca03ad2fbcee3127a872f37aa63ac",
+    ),
+    ("art", 2000, 8, 11, 0): (
+        "750702c260579e2da53f1d5da76cb8257e41d2c1434896ca1558fb2c8580192d",
+        "eb991f1b123266492c75b654e8f5c880fa877a499db98f731abc52d16a422509",
+        "070097cfcc000533592c557c7718aa7b88b36ab5ff0062bc0c741efc1e68023b",
+    ),
+    ("vpr", 2500, 64, 4, 3298534883328): (
+        "1c73fb6972b22a99b2a797f63cdea6f69fb2c64a5f9b094bc86a0108bb1f8bfd",
+        "0b94d6601122120bf0c7e8cbcc4c880c601484dcc1bb9305cf0da744b51d6bda",
+        "e529f3dc70b67275cdea74170c4526f2bc57509a59b35d3a6c487355b2456ba7",
+    ),
+    ("twolf", 0, 64, 1, 0): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    ("sixtrack", 1, 256, 5, 0): (
+        "c3d70c7b5aaae8145086cce9116be8f0072f91ddc855ef55825b561d46e2c4c7",
+        "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+        "fb31b4206368ca3d59e2f09dc245b7462e2fea4584b8de634fa9f1aaea20bfbc",
+    ),
+}
+
+
+def _digest(column: np.ndarray) -> str:
+    little = column.astype(column.dtype.newbyteorder("<"))
+    return hashlib.sha256(little.tobytes()).hexdigest()
+
+
+class TestGoldenTraces:
+    """Generation is pinned bit for bit: every experiment's numbers (and
+    every shared-trace memo) depend on it."""
+
+    @pytest.mark.parametrize("key", list(TRACE_DIGESTS), ids=str)
+    def test_columns_match_recorded_digests(self, key):
+        name, accesses, num_sets, seed, base = key
+        t = generate_trace(
+            get(name), accesses, num_sets, seed=seed, base_address=base
+        )
+        got = tuple(_digest(c) for c in (t.addresses, t.is_write, t.gaps))
+        assert got == TRACE_DIGESTS[key]
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_generate_lines_equals_trace_lines(self, name):
+        lines = generate_lines(get(name), 3000, NSETS, seed=7)
+        trace = generate_trace(get(name), 3000, NSETS, seed=7)
+        assert lines.dtype == np.uint64
+        assert np.array_equal(lines, trace.lines)
+
+    def test_offset_trace_lines_are_offset_lines(self):
+        """``base_address`` is outside the RNG key, so lines of an offset
+        trace are the offset lines."""
+        t = generate_trace(get("gzip"), 500, NSETS, seed=3, base_address=1 << 40)
+        lines = generate_lines(get("gzip"), 500, NSETS, seed=3)
+        assert np.array_equal(t.lines - np.uint64(1 << 34), lines)
+
+    def test_generate_lines_edge_cases(self):
+        assert len(generate_lines(get("gzip"), 0, NSETS, seed=1)) == 0
+        with pytest.raises(ValueError):
+            generate_lines(get("gzip"), -1, NSETS)
 
 
 class TestPhased:
